@@ -9,8 +9,8 @@
 
 #include "bench_util.hpp"
 #include "core/relaxed_greedy.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/metrics.hpp"
+#include "graph/sp_workspace.hpp"
 
 using namespace localspan;
 using benchutil::fmt;
@@ -48,11 +48,13 @@ int main() {
   for (int n : {128, 256, 512}) {
     const auto inst = benchutil::standard_instance(n, 0.75, 9);
     const auto result = core::relaxed_greedy(inst, params);
+    graph::DijkstraWorkspace ws(n);
     std::vector<std::vector<double>> dist(static_cast<std::size_t>(n));
     for (int v = 0; v < n; ++v) {
-      dist[static_cast<std::size_t>(v)] = graph::dijkstra(result.spanner, v).dist;
-      for (double& d : dist[static_cast<std::size_t>(v)]) {
-        if (d == graph::kInf) d = 1e9;  // disconnected pairs: effectively far
+      const graph::SpView sp = ws.bounded(result.spanner, v, graph::kInf);
+      for (int u = 0; u < n; ++u) {
+        // Disconnected pairs: effectively far.
+        dist[static_cast<std::size_t>(v)].push_back(sp.reached(u) ? sp.dist(u) : 1e9);
       }
     }
     dd_table.add_row({fmt_int(n), fmt(graph::doubling_dimension_estimate(dist, 60, 9), 2)});

@@ -1,8 +1,9 @@
 #pragma once
 /// \file bench_util.hpp
 /// Shared helpers for the experiment binaries E1..E12: instance
-/// construction and markdown table printing. Each bench prints the
-/// paper-shaped table documented in DESIGN.md §4 and EXPERIMENTS.md.
+/// construction and markdown table printing. Each bench prints one
+/// paper-shaped table per claim it checks; its file comment names the
+/// claim.
 
 #include <cstdio>
 #include <cstdlib>

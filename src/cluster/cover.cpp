@@ -1,10 +1,10 @@
 #include "cluster/cover.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <utility>
 
-#include "graph/dijkstra.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 
@@ -180,23 +180,24 @@ CoverHierarchy cover_hierarchy(const graph::CsrView& gp, double base_radius, dou
   return hier;
 }
 
-ClusterCover mis_cover(const graph::Graph& gp, double radius,
+ClusterCover mis_cover(const graph::CsrView& gp, double radius, graph::DijkstraWorkspace& ws,
                        const std::function<std::vector<int>(const graph::Graph&)>& mis) {
   if (radius < 0.0) throw std::invalid_argument("mis_cover: negative radius");
   const int n = gp.n();
 
   // Proximity graph J: {x,y} iff 0 < sp_gp(x,y) <= radius. Each node learns
-  // its J-neighborhood from its local ball (distributed step 1, §3.2.1).
+  // its J-neighborhood from its own local ball (distributed step 1, §3.2.1);
+  // u adds its lower-id neighbors in ascending id order.
   graph::Graph j(n);
-  std::vector<graph::ShortestPaths> balls;
-  balls.reserve(static_cast<std::size_t>(n));
+  std::vector<int> lower;
   for (int u = 0; u < n; ++u) {
-    balls.push_back(graph::dijkstra_bounded(gp, u, radius));
-    for (int v = 0; v < u; ++v) {
-      if (balls[static_cast<std::size_t>(u)].dist[static_cast<std::size_t>(v)] <= radius) {
-        j.add_edge(u, v, 1.0);
-      }
+    const graph::SpView ball = ws.bounded(gp, u, radius);
+    lower.clear();
+    for (int v : ball.touched()) {
+      if (v < u) lower.push_back(v);
     }
+    std::sort(lower.begin(), lower.end());
+    for (int v : lower) j.add_edge(u, v, 1.0);
   }
 
   const std::vector<int> independent = mis(j);
@@ -207,10 +208,7 @@ ClusterCover mis_cover(const graph::Graph& gp, double radius,
   cover.radius = radius;
   cover.center_of.assign(static_cast<std::size_t>(n), -1);
   cover.dist_to_center.assign(static_cast<std::size_t>(n), graph::kInf);
-  for (int c : independent) {
-    cover.center_of[static_cast<std::size_t>(c)] = c;
-    cover.dist_to_center[static_cast<std::size_t>(c)] = 0.0;
-  }
+  for (int c : independent) cover.center_of[static_cast<std::size_t>(c)] = c;
   for (int v = 0; v < n; ++v) {
     if (in_mis[static_cast<std::size_t>(v)]) continue;
     // Attach to the highest-id MIS neighbor in J (paper's tie-break).
@@ -223,8 +221,16 @@ ClusterCover mis_cover(const graph::Graph& gp, double radius,
       throw std::logic_error("mis_cover: vertex with no MIS neighbor (MIS not maximal?)");
     }
     cover.center_of[static_cast<std::size_t>(v)] = best;
-    cover.dist_to_center[static_cast<std::size_t>(v)] =
-        balls[static_cast<std::size_t>(best)].dist[static_cast<std::size_t>(v)];
+  }
+  // Each member's distance comes from its center's own bounded search (its
+  // members are J-neighbors, so all lie in that ball).
+  for (int c : independent) {
+    const graph::SpView ball = ws.bounded(gp, c, radius);
+    for (int v : ball.touched()) {
+      if (cover.center_of[static_cast<std::size_t>(v)] == c) {
+        cover.dist_to_center[static_cast<std::size_t>(v)] = ball.dist(v);
+      }
+    }
   }
   cover.centers = independent;
   std::sort(cover.centers.begin(), cover.centers.end());
@@ -234,18 +240,20 @@ ClusterCover mis_cover(const graph::Graph& gp, double radius,
 bool is_valid_cover(const graph::Graph& gp, const ClusterCover& cover) {
   const int n = gp.n();
   if (static_cast<int>(cover.center_of.size()) != n) return false;
+  const graph::CsrView csr(gp);
+  graph::DijkstraWorkspace ws(n);
   for (int v = 0; v < n; ++v) {
     const int c = cover.center_of[static_cast<std::size_t>(v)];
     if (c < 0 || c >= n) return false;                          // coverage
     if (cover.center_of[static_cast<std::size_t>(c)] != c) return false;  // centers own themselves
-    const double d = graph::sp_distance(gp, c, v, cover.radius);
+    const double d = ws.distance(csr, c, v, cover.radius);
     if (d > cover.radius) return false;  // radius bound (also validates dist_to_center)
     if (std::abs(d - cover.dist_to_center[static_cast<std::size_t>(v)]) > 1e-9) return false;
   }
   for (int a : cover.centers) {
     for (int b : cover.centers) {
       if (a >= b) continue;
-      if (graph::sp_distance(gp, a, b, cover.radius) <= cover.radius) return false;  // separation
+      if (ws.distance(csr, a, b, cover.radius) <= cover.radius) return false;  // separation
     }
   }
   return true;

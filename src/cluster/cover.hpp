@@ -91,8 +91,14 @@ struct CoverHierarchy {
 /// receives J) gives the centers; every other vertex attaches to its
 /// highest-id MIS neighbor in J. This is the distributed algorithm's cover;
 /// with a deterministic `mis` it is reproducible.
+///
+/// Every ball is a bounded search on the caller-owned workspace: one per
+/// vertex to learn J, then one per center for its members' distances, so
+/// memory stays O(n + |J|) and no search costs more than its ball.
+///
+/// \throws std::logic_error when `mis` returns a set that is not maximal.
 [[nodiscard]] ClusterCover mis_cover(
-    const graph::Graph& gp, double radius,
+    const graph::CsrView& gp, double radius, graph::DijkstraWorkspace& ws,
     const std::function<std::vector<int>(const graph::Graph&)>& mis);
 
 /// Validation for tests: coverage, radius bound, center separation

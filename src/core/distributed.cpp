@@ -7,7 +7,6 @@
 
 #include "core/greedy.hpp"
 #include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/soa_points.hpp"
 #include "mis/luby.hpp"
 #include "runtime/parallel.hpp"
@@ -174,7 +173,8 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
     const long long k_ball = hops_for(params.delta * w_eucl, params.alpha);
     mis::LubyStats luby1;
     const auto mis_fn = [&](const graph::Graph& j) { return run_mis(j, &luby1, "cover-mis"); };
-    const cluster::ClusterCover cover = cluster::mis_cover(spanner, radius, mis_fn);
+    const cluster::ClusterCover cover =
+        cluster::mis_cover(graph::CsrView(spanner), radius, ws, mis_fn);
     st.clusters = static_cast<int>(cover.centers.size());
 
     pr.cover = k_ball                       // learn the δW ball of G'_{i-1}

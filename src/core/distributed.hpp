@@ -17,7 +17,7 @@
 /// Alongside the measured rounds (Luby MIS: O(log n) w.h.p.) the driver
 /// reports the KMW-model rounds where each MIS invocation is charged
 /// log*(n) iterations instead — the paper's O(log n · log* n) bound refers
-/// to that model (see DESIGN.md substitutions).
+/// to that model (Luby stands in for the KMW MIS; see mis/luby.hpp).
 
 #include <cstdint>
 

@@ -8,7 +8,6 @@
 
 #include "core/greedy.hpp"
 #include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
 #include "mis/luby.hpp"
 #include "mis/mis.hpp"
 #include "obs/obs.hpp"

@@ -6,6 +6,8 @@
 namespace localspan::ext {
 
 std::function<double(double)> energy_transform(double c, double gamma) {
+  if (!std::isfinite(c)) throw std::invalid_argument("energy_transform: c must be finite");
+  if (!std::isfinite(gamma)) throw std::invalid_argument("energy_transform: gamma must be finite");
   if (!(c > 0.0)) throw std::invalid_argument("energy_transform: c must be > 0");
   if (!(gamma >= 1.0)) throw std::invalid_argument("energy_transform: gamma must be >= 1");
   return [c, gamma](double len) { return c * std::pow(len, gamma); };

@@ -7,8 +7,8 @@
 /// states its algorithm still yields all three properties when edge weights
 /// are c·|uv|^γ; we realize that by passing `energy_transform` as the
 /// RelaxedGreedyOptions::weight_transform hook (bins stay on Euclidean
-/// lengths; every weight and threshold is transformed consistently —
-/// see DESIGN.md). The power cost of §1.6 is in graph/metrics.hpp.
+/// lengths; every weight and threshold is transformed consistently). The
+/// power cost of §1.6 is in graph/metrics.hpp.
 
 #include <functional>
 
@@ -18,7 +18,7 @@
 namespace localspan::ext {
 
 /// The weight transform len -> c·len^γ. \throws std::invalid_argument unless
-/// c > 0 and gamma >= 1.
+/// c and gamma are finite, c > 0 and gamma >= 1.
 [[nodiscard]] std::function<double(double)> energy_transform(double c, double gamma);
 
 /// Reweight a geometric graph's edges from Euclidean length to energy

@@ -6,7 +6,6 @@
 #include <random>
 #include <stdexcept>
 
-#include "graph/dijkstra.hpp"
 #include "graph/mst.hpp"
 #include "graph/sp_workspace.hpp"
 #include "runtime/parallel.hpp"

@@ -1,34 +1,28 @@
 #pragma once
 /// \file sp_workspace.hpp
-/// Output-sensitive shortest-path machinery: an epoch-stamped Dijkstra
-/// workspace plus frozen CSR adjacency snapshots.
+/// The library's shortest-path engine: an epoch-stamped Dijkstra workspace
+/// plus frozen CSR adjacency snapshots.
 ///
 /// Every shortest-path question in the paper is *radius-bounded* — cluster
 /// covers explore to δW_{i-1}, queries to t·|xy|, dynamic repair to the
 /// dirty-ball radius R — so the ball a search settles is usually tiny
-/// compared to n. The dense `dijkstra*` functions still pay O(n) to
-/// allocate and initialize their dist/parent arrays per call, which makes
-/// the *memory traffic* global even when the *work* is local. The
-/// `DijkstraWorkspace` removes that: dist/parent entries are validated by an
+/// compared to n. `DijkstraWorkspace` keeps the cost of a search
+/// proportional to that ball: dist/parent entries are validated by an
 /// epoch stamp, a search touches only the ball it settles, reset is O(1)
 /// (bump the epoch), and the heap/touched buffers are reused so a warmed-up
 /// workspace performs **zero allocations** per search. A bounded search
-/// therefore costs O(|ball| log |ball|), independent of n.
+/// therefore costs O(|ball| log |ball|), independent of n. Searches return
+/// a sparse `SpView` (touched-vertex list + O(1) stamped lookup).
 ///
-/// Searches return a sparse `SpView` (touched-vertex list + O(1) stamped
-/// lookup) instead of a dense `ShortestPaths`; the dense functions in
-/// dijkstra.hpp survive as the reference implementation the workspace is
-/// tested against.
-///
-/// The priority queue is a d-ary heap with a compile-time arity
-/// (`BasicDijkstraWorkspace<Arity>`; the production alias uses 4). A 4-ary
-/// heap halves the sift-down depth of a binary heap — fewer dependent
-/// cache-missing levels per pop — while the four children of a node share
-/// one or two cache lines, so the extra comparisons are nearly free. The
-/// pop order among *equal* keys can differ between arities, but every
-/// full-drain bounded search settles the exact same ball with the exact
-/// same distances regardless of pop order, which the d-ary-vs-binary
-/// equivalence suite in tests/test_sp_workspace.cpp pins down.
+/// The frontier is a 4-ary heap: half the sift-down depth of a binary heap
+/// — fewer dependent cache-missing levels per pop — while the four children
+/// of a node share one or two cache lines, so the extra comparisons are
+/// nearly free. Pop order among equal keys does not change results: every
+/// settled vertex relaxes its neighbors with its final distance, so a
+/// full-drain bounded search settles the same ball with bitwise the same
+/// distances under any heap. tests/sp_reference.hpp keeps a dense
+/// binary-heap Dijkstra as the independent oracle the workspace is checked
+/// against (tests/test_sp_workspace.cpp).
 ///
 /// `CsrView` complements the workspace for read-heavy passes: a frozen
 /// offsets-plus-flat-neighbor-array snapshot of a Graph, so loops that sweep
@@ -46,7 +40,6 @@
 #include <utility>
 #include <vector>
 
-#include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 
 namespace localspan::graph {
@@ -109,33 +102,7 @@ struct IdentityWeight {
   double operator()(double w) const noexcept { return w; }
 };
 
-namespace detail {
-
-/// The epoch-stamped search state every heap arity shares. Kept outside the
-/// `BasicDijkstraWorkspace<Arity>` template so `SpView` can borrow it
-/// without itself becoming templated on the arity (views flow through
-/// cluster/serve/dynamic code that must not care how the frontier is
-/// ordered). The arrays are structure-of-arrays on purpose: a stamped
-/// lookup touches only the 4-byte stamp lane, not a padded per-vertex
-/// record.
-struct SpState {
-  std::vector<std::uint32_t> stamp_;  ///< stamp_[v] == epoch_now_ => entry valid.
-  std::vector<double> dist_;
-  std::vector<int> parent_;
-  std::vector<int> touched_;  ///< vertices stamped by the current search.
-  std::uint32_t epoch_now_ = 0;
-  std::uint64_t token_ = 0;  ///< search counter, invalidates outstanding views.
-  int n_ = 0;                ///< vertex count of the current search's graph.
-
-  [[nodiscard]] bool stamped(int v) const {
-    return stamp_[static_cast<std::size_t>(v)] == epoch_now_;
-  }
-};
-
-}  // namespace detail
-
-template <int Arity>
-class BasicDijkstraWorkspace;
+class DijkstraWorkspace;
 
 /// Sparse result of a workspace search. Views borrow the workspace's
 /// arrays: a view is valid until the next search on the same workspace
@@ -173,32 +140,27 @@ class SpView {
   [[nodiscard]] int path_hops(int v) const;
 
  private:
-  template <int Arity>
-  friend class BasicDijkstraWorkspace;
-  SpView(const detail::SpState* st, std::uint64_t token) : st_(st), token_(token) {}
+  friend class DijkstraWorkspace;
+  SpView(const DijkstraWorkspace* ws, std::uint64_t token) : ws_(ws), token_(token) {}
 
   void check() const;  ///< throws std::logic_error when the view is stale.
 
-  const detail::SpState* st_ = nullptr;
+  const DijkstraWorkspace* ws_ = nullptr;
   std::uint64_t token_ = 0;
 };
 
-/// Reusable epoch-stamped state for Dijkstra-shaped searches, with a d-ary
-/// heap frontier of compile-time `Arity` (see the file comment for why the
-/// production alias is 4-ary).
+/// Reusable epoch-stamped state for Dijkstra-shaped searches, with a 4-ary
+/// heap frontier (see the file comment).
 ///
 /// One workspace serves any sequence of graphs (it sizes itself to the
 /// largest n seen; growth is the only allocation). Typical use: own one
 /// per long-lived engine or per algorithm invocation, and thread it through
 /// every bounded search on the hot path.
-template <int Arity>
-class BasicDijkstraWorkspace {
-  static_assert(Arity >= 2, "a heap needs at least two children per node");
-
+class DijkstraWorkspace {
  public:
-  BasicDijkstraWorkspace() = default;
+  DijkstraWorkspace() = default;
   /// Pre-size for graphs up to n vertices (optional; searches auto-grow).
-  explicit BasicDijkstraWorkspace(int n) { grow(n); }
+  explicit DijkstraWorkspace(int n) { grow(n); }
 
   /// Single-source search bounded by `radius` (pass kInf for unbounded).
   template <class G>
@@ -240,12 +202,11 @@ class BasicDijkstraWorkspace {
   }
 
   /// sp(u, v), or kInf if it exceeds `bound`. Early-exits once v is settled
-  /// or the frontier minimum passes the bound. Semantics match
-  /// graph::sp_distance; cost is O(|ball| log |ball|) with no allocation
-  /// once warm.
+  /// or the frontier minimum passes the bound. Cost is O(|ball| log |ball|)
+  /// with no allocation once warm.
   template <class G>
   double distance(const G& g, int u, int v, double bound = kInf) {
-    if (v < 0 || v >= g.n()) throw std::invalid_argument("sp_distance: target out of range");
+    if (v < 0 || v >= g.n()) throw std::invalid_argument("dijkstra: target out of range");
     if (u == v) return 0.0;
     const int srcs[1] = {u};
     const SpView view = run(g, srcs, bound, v, IdentityWeight{});
@@ -254,7 +215,7 @@ class BasicDijkstraWorkspace {
   }
 
   /// The number of searches started (SpView staleness token). Test hook.
-  [[nodiscard]] std::uint64_t searches() const noexcept { return st_.token_; }
+  [[nodiscard]] std::uint64_t searches() const noexcept { return token_; }
 
   /// Drain the accumulated heap push/pop tallies since the last take (plain
   /// increments in the hot loop — this header stays observability-agnostic;
@@ -279,9 +240,13 @@ class BasicDijkstraWorkspace {
   /// Test hook for the epoch-wraparound path: exhaust the epoch counter so
   /// the next search must rebase every stamp. Production code never needs
   /// this (2^32 searches away); tests cover the rebase with it.
-  void debug_exhaust_epochs() noexcept { st_.epoch_now_ = kEpochMax; }
+  void debug_exhaust_epochs() noexcept { epoch_now_ = kEpochMax; }
 
  private:
+  friend class SpView;
+
+  static constexpr std::size_t kArity = 4;
+
   struct HeapItem {
     double d;
     int v;
@@ -319,10 +284,10 @@ class BasicDijkstraWorkspace {
   }
 
   void grow(int n) {
-    if (static_cast<int>(st_.stamp_.size()) < n) {
-      st_.stamp_.resize(static_cast<std::size_t>(n), 0);
-      st_.dist_.resize(static_cast<std::size_t>(n));
-      st_.parent_.resize(static_cast<std::size_t>(n));
+    if (static_cast<int>(stamp_.size()) < n) {
+      stamp_.resize(static_cast<std::size_t>(n), 0);
+      dist_.resize(static_cast<std::size_t>(n));
+      parent_.resize(static_cast<std::size_t>(n));
     }
   }
 
@@ -330,15 +295,15 @@ class BasicDijkstraWorkspace {
   /// (rare) counter wrap, rebase all stamps to 0 — O(capacity), once per
   /// 2^32 - 1 searches.
   void begin(int n) {
-    ++st_.token_;
+    ++token_;
     grow(n);
-    st_.n_ = n;
-    if (st_.epoch_now_ == kEpochMax) {
-      std::fill(st_.stamp_.begin(), st_.stamp_.end(), 0);
-      st_.epoch_now_ = 0;
+    n_ = n;
+    if (epoch_now_ == kEpochMax) {
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_now_ = 0;
     }
-    ++st_.epoch_now_;
-    st_.touched_.clear();
+    ++epoch_now_;
+    touched_.clear();
     heap_.clear();
   }
 
@@ -347,7 +312,7 @@ class BasicDijkstraWorkspace {
     heap_.push_back({d, v});
     std::size_t i = heap_.size() - 1;
     while (i > 0) {
-      const std::size_t up = (i - 1) / static_cast<std::size_t>(Arity);
+      const std::size_t up = (i - 1) / kArity;
       if (heap_[up].d <= heap_[i].d) break;
       std::swap(heap_[up], heap_[i]);
       i = up;
@@ -362,11 +327,10 @@ class BasicDijkstraWorkspace {
     std::size_t i = 0;
     const std::size_t size = heap_.size();
     while (true) {
-      const std::size_t first = static_cast<std::size_t>(Arity) * i + 1;
+      const std::size_t first = kArity * i + 1;
       if (first >= size) break;
-      const std::size_t last = std::min(first + static_cast<std::size_t>(Arity), size);
-      // First strict minimum wins, so the lowest-index child breaks ties —
-      // the same rule the binary version used (left child on equal keys).
+      const std::size_t last = std::min(first + kArity, size);
+      // First strict minimum wins, so the lowest-index child breaks ties.
       std::size_t child = first;
       for (std::size_t c = first + 1; c < last; ++c) {
         if (heap_[c].d < heap_[child].d) child = c;
@@ -384,78 +348,87 @@ class BasicDijkstraWorkspace {
     const InUseGuard guard(in_use_);
     begin(g.n());
     for (int s : sources) {
-      if (s < 0 || s >= st_.n_) throw std::invalid_argument("dijkstra: source out of range");
-      if (!st_.stamped(s)) {
+      if (s < 0 || s >= n_) throw std::invalid_argument("dijkstra: source out of range");
+      if (!stamped(s)) {
         const auto i = static_cast<std::size_t>(s);
-        st_.stamp_[i] = st_.epoch_now_;
-        st_.dist_[i] = 0.0;
-        st_.parent_[i] = -1;
-        st_.touched_.push_back(s);
+        stamp_[i] = epoch_now_;
+        dist_[i] = 0.0;
+        parent_[i] = -1;
+        touched_.push_back(s);
         heap_push(0.0, s);
       }
     }
     while (!heap_.empty()) {
       const auto [d, v] = heap_pop();
-      if (d > st_.dist_[static_cast<std::size_t>(v)]) continue;  // stale entry
+      if (d > dist_[static_cast<std::size_t>(v)]) continue;  // stale entry
       if (d > radius) break;
       if (v == target) break;
       for (const Neighbor& nb : g.neighbors(v)) {
         const double nd = d + weight(nb.w);
         if (nd > radius) continue;
         const auto to = static_cast<std::size_t>(nb.to);
-        if (st_.stamp_[to] != st_.epoch_now_) {
-          st_.stamp_[to] = st_.epoch_now_;
-          st_.dist_[to] = nd;
-          st_.parent_[to] = v;
-          st_.touched_.push_back(nb.to);
+        if (stamp_[to] != epoch_now_) {
+          stamp_[to] = epoch_now_;
+          dist_[to] = nd;
+          parent_[to] = v;
+          touched_.push_back(nb.to);
           heap_push(nd, nb.to);
-        } else if (nd < st_.dist_[to]) {
-          st_.dist_[to] = nd;
-          st_.parent_[to] = v;
+        } else if (nd < dist_[to]) {
+          dist_[to] = nd;
+          parent_[to] = v;
           heap_push(nd, nb.to);
         }
       }
     }
     heap_.clear();  // early breaks leave entries behind; keep capacity
-    return SpView(&st_, st_.token_);
+    return SpView(this, token_);
   }
 
-  detail::SpState st_;
+  [[nodiscard]] bool stamped(int v) const {
+    return stamp_[static_cast<std::size_t>(v)] == epoch_now_;
+  }
+
+  // Structure-of-arrays on purpose: a stamped lookup touches only the
+  // 4-byte stamp lane, not a padded per-vertex record.
+  std::vector<std::uint32_t> stamp_;  ///< stamp_[v] == epoch_now_ => entry valid.
+  std::vector<double> dist_;
+  std::vector<int> parent_;
+  std::vector<int> touched_;  ///< vertices stamped by the current search.
+  std::uint32_t epoch_now_ = 0;
+  std::uint64_t token_ = 0;  ///< search counter, invalidates outstanding views.
+  int n_ = 0;                ///< vertex count of the current search's graph.
   std::vector<HeapItem> heap_;
   long long heap_pushes_ = 0;  ///< since the last take_heap_ops().
   long long heap_pops_ = 0;
   InUseFlag in_use_;  ///< single-owner enforcement (see in_use()).
 };
 
-/// The production workspace: a 4-ary frontier (see the file comment).
-using DijkstraWorkspace = BasicDijkstraWorkspace<4>;
-
 inline void SpView::check() const {
-  if (st_ == nullptr || token_ != st_->token_) {
+  if (ws_ == nullptr || token_ != ws_->token_) {
     throw std::logic_error("SpView: stale view (the workspace ran a newer search)");
   }
 }
 
 inline bool SpView::reached(int v) const {
   check();
-  if (v < 0 || v >= st_->n_) throw std::invalid_argument("SpView: vertex out of range");
-  return st_->stamped(v);
+  if (v < 0 || v >= ws_->n_) throw std::invalid_argument("SpView: vertex out of range");
+  return ws_->stamped(v);
 }
 
-inline double SpView::dist(int v) const { return reached(v) ? st_->dist_[static_cast<std::size_t>(v)] : kInf; }
+inline double SpView::dist(int v) const { return reached(v) ? ws_->dist_[static_cast<std::size_t>(v)] : kInf; }
 
-inline int SpView::parent(int v) const { return reached(v) ? st_->parent_[static_cast<std::size_t>(v)] : -1; }
+inline int SpView::parent(int v) const { return reached(v) ? ws_->parent_[static_cast<std::size_t>(v)] : -1; }
 
 inline std::span<const int> SpView::touched() const {
   check();
-  return st_->touched_;
+  return ws_->touched_;
 }
 
 inline int SpView::path_hops(int v) const {
   if (!reached(v)) return -1;
   int hops = 0;
-  for (int cur = v; st_->parent_[static_cast<std::size_t>(cur)] != -1;
-       cur = st_->parent_[static_cast<std::size_t>(cur)]) {
+  for (int cur = v; ws_->parent_[static_cast<std::size_t>(cur)] != -1;
+       cur = ws_->parent_[static_cast<std::size_t>(cur)]) {
     ++hops;
   }
   return hops;

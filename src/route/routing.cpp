@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "geom/point.hpp"
-#include "graph/dijkstra.hpp"
 #include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 

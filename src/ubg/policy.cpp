@@ -1,5 +1,6 @@
 #include "ubg/policy.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 namespace localspan::ubg {
@@ -21,6 +22,7 @@ class NeverPolicy final : public GrayZonePolicy {
 class ProbabilisticPolicy final : public GrayZonePolicy {
  public:
   ProbabilisticPolicy(double p, std::uint64_t seed) : p_(p), seed_(seed) {
+    if (!std::isfinite(p)) throw std::invalid_argument("probabilistic: p must be finite");
     if (p < 0.0 || p > 1.0) throw std::invalid_argument("probabilistic: p must be in [0,1]");
   }
 
@@ -45,6 +47,7 @@ class ProbabilisticPolicy final : public GrayZonePolicy {
 class ThresholdPolicy final : public GrayZonePolicy {
  public:
   explicit ThresholdPolicy(double beta) : beta_(beta) {
+    if (!std::isfinite(beta)) throw std::invalid_argument("threshold: beta must be finite");
     if (beta < 0.0 || beta > 1.0) throw std::invalid_argument("threshold: beta must be in [0,1]");
   }
 

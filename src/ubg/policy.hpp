@@ -37,10 +37,12 @@ class GrayZonePolicy {
 
 /// Pair {u,v} connected with probability p, decided by a seeded hash of
 /// (min(u,v), max(u,v)) — symmetric and replayable.
+/// \throws std::invalid_argument unless p is finite and in [0,1].
 [[nodiscard]] std::unique_ptr<GrayZonePolicy> probabilistic(double p, std::uint64_t seed);
 
 /// Connected iff dist <= beta, for a threshold beta in [alpha, 1]: models a
 /// uniform radio range between the pessimistic and optimistic extremes.
+/// \throws std::invalid_argument unless beta is finite and in [0,1].
 [[nodiscard]] std::unique_ptr<GrayZonePolicy> threshold(double beta);
 
 }  // namespace localspan::ubg

@@ -2,20 +2,33 @@
 // Das-Narasimhan cluster graph with its Lemma 5/6/7/8 guarantees.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <vector>
 
 #include "cluster/cluster_graph.hpp"
 #include "cluster/cover.hpp"
 #include "core/greedy.hpp"
-#include "graph/dijkstra.hpp"
+#include "graph/sp_workspace.hpp"
+#include "mis/luby.hpp"
 #include "mis/mis.hpp"
+#include "scenario_matrix.hpp"
+#include "sp_reference.hpp"
 #include "ubg/generator.hpp"
 
 namespace cl = localspan::cluster;
 namespace gr = localspan::graph;
+namespace ti = localspan::testinfra;
 namespace ub = localspan::ubg;
 
 namespace {
+
+using MisFn = std::function<std::vector<int>(const gr::Graph&)>;
+
+std::vector<int> greedy_mis(const gr::Graph& j) { return localspan::mis::greedy_mis(j); }
 
 /// A partial-spanner-like graph to cluster: greedy spanner of a UBG.
 gr::Graph partial_spanner(std::uint64_t seed, int n = 200) {
@@ -39,12 +52,80 @@ TEST_P(CoverRadius, SequentialCoverIsValid) {
 
 TEST_P(CoverRadius, MisCoverIsValid) {
   const gr::Graph gp = partial_spanner(6);
-  const cl::ClusterCover cover =
-      cl::mis_cover(gp, GetParam(), [](const gr::Graph& j) { return localspan::mis::greedy_mis(j); });
+  gr::DijkstraWorkspace ws;
+  const cl::ClusterCover cover = cl::mis_cover(gr::CsrView(gp), GetParam(), ws, greedy_mis);
   EXPECT_TRUE(cl::is_valid_cover(gp, cover));
 }
 
 INSTANTIATE_TEST_SUITE_P(RadiusSweep, CoverRadius, ::testing::Values(0.02, 0.1, 0.3, 1.0));
+
+namespace {
+
+/// Reference MIS cover on the dense oracle: one O(n) search per vertex, all
+/// kept until the attach step. mis_cover must match it bit for bit.
+cl::ClusterCover dense_mis_cover(const gr::Graph& gp, double radius, const MisFn& mis) {
+  const int n = gp.n();
+  gr::Graph j(n);
+  std::vector<ti::DenseSp> balls;
+  for (int u = 0; u < n; ++u) {
+    balls.push_back(ti::dense_dijkstra(gp, u, radius));
+    for (int v = 0; v < u; ++v) {
+      if (balls.back().dist[static_cast<std::size_t>(v)] <= radius) j.add_edge(u, v, 1.0);
+    }
+  }
+  const std::vector<int> independent = mis(j);
+  std::vector<char> in_mis(static_cast<std::size_t>(n), 0);
+  for (int c : independent) in_mis[static_cast<std::size_t>(c)] = 1;
+  cl::ClusterCover cover;
+  cover.radius = radius;
+  cover.center_of.assign(static_cast<std::size_t>(n), -1);
+  cover.dist_to_center.assign(static_cast<std::size_t>(n), gr::kInf);
+  for (int c : independent) {
+    cover.center_of[static_cast<std::size_t>(c)] = c;
+    cover.dist_to_center[static_cast<std::size_t>(c)] = 0.0;
+  }
+  for (int v = 0; v < n; ++v) {
+    if (in_mis[static_cast<std::size_t>(v)]) continue;
+    int best = -1;  // highest-id MIS neighbor in J
+    for (const gr::Neighbor& nb : j.neighbors(v)) {
+      if (in_mis[static_cast<std::size_t>(nb.to)] && nb.to > best) best = nb.to;
+    }
+    cover.center_of[static_cast<std::size_t>(v)] = best;
+    cover.dist_to_center[static_cast<std::size_t>(v)] =
+        balls[static_cast<std::size_t>(best)].dist[static_cast<std::size_t>(v)];
+  }
+  cover.centers = independent;
+  std::sort(cover.centers.begin(), cover.centers.end());
+  return cover;
+}
+
+class MisCoverMatrix : public ::testing::TestWithParam<ti::Scenario> {};
+
+}  // namespace
+
+TEST_P(MisCoverMatrix, MatchesDenseReferenceBitForBit) {
+  const ub::UbgInstance inst = GetParam().make();
+  const gr::CsrView csr(inst.g);
+  gr::DijkstraWorkspace ws;
+  const MisFn luby = [](const gr::Graph& j) { return localspan::mis::luby_mis_parallel(j, 7); };
+  for (const double radius : {0.0, 0.15, 1.5}) {
+    for (const MisFn& mis : {MisFn(greedy_mis), luby}) {
+      const cl::ClusterCover want = dense_mis_cover(inst.g, radius, mis);
+      const cl::ClusterCover got = cl::mis_cover(csr, radius, ws, mis);
+      EXPECT_EQ(got.center_of, want.center_of) << "radius " << radius;
+      EXPECT_EQ(got.centers, want.centers) << "radius " << radius;
+      ASSERT_EQ(got.dist_to_center.size(), want.dist_to_center.size());
+      for (std::size_t v = 0; v < want.dist_to_center.size(); ++v) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got.dist_to_center[v]),
+                  std::bit_cast<std::uint64_t>(want.dist_to_center[v]))
+            << "radius " << radius << " vertex " << v;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, MisCoverMatrix, ::testing::ValuesIn(ti::standard_matrix()),
+                         ti::ScenarioName());
 
 TEST(Cover, ZeroRadiusMakesEveryVertexACenter) {
   const gr::Graph gp = partial_spanner(7, 60);
@@ -153,16 +234,18 @@ TEST(ClusterGraph, Lemma7PathApproximation) {
   const auto cg = cl::build_cluster_graph(gp, cover, w_prev);
   const double ratio = (1.0 + 6.0 * delta) / (1.0 - 2.0 * delta);
   int checked = 0;
+  gr::DijkstraWorkspace ws_gp;
+  gr::DijkstraWorkspace ws_h;
   for (int x = 0; x < gp.n() && checked < 200; x += 3) {
-    const gr::ShortestPaths in_gp = gr::dijkstra(gp, x);
-    const gr::ShortestPaths in_h = gr::dijkstra(cg.h, x);
+    const gr::SpView in_gp = ws_gp.bounded(gp, x, gr::kInf);
+    const gr::SpView in_h = ws_h.bounded(cg.h, x, gr::kInf);
     for (int y = 0; y < gp.n(); y += 7) {
       if (x == y) continue;
-      const double l1 = in_gp.dist[static_cast<std::size_t>(y)];
+      const double l1 = in_gp.dist(y);
       // Lemma 7 is stated for query-edge distances; restrict to the relevant
       // scale (longer than the cluster diameter, bounded by a few W).
       if (l1 == gr::kInf || l1 < 2.0 * delta * w_prev || l1 > 3.0 * w_prev) continue;
-      const double l2 = in_h.dist[static_cast<std::size_t>(y)];
+      const double l2 = in_h.dist(y);
       ASSERT_NE(l2, gr::kInf) << "H must connect what G' connects at this scale";
       EXPECT_GE(l2, l1 - 1e-9);                  // H never underestimates
       EXPECT_LE(l2, ratio * l1 + 1e-9) << l1;    // Lemma 7 upper bound

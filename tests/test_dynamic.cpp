@@ -270,22 +270,37 @@ TEST(DynamicSpanner, BaselineFullRecomputeMatchesStaticPipeline) {
 }
 
 TEST(DynamicSpanner, GridDiscoveryMatchesLinearScan) {
-  // The maintained spatial hash must be a pure optimization: the grid and
-  // the Ω(n) all-slot scan discover identical neighbor sets, so the UBG and
-  // the repaired spanner come out bit-identical over a whole mixed trace.
+  // The maintained spatial hash must be a pure optimization: after every
+  // event of a mixed trace, the UBG among live nodes is exactly what an
+  // all-pairs scan gives (edge iff squared distance <= connect_radius^2,
+  // weight max(d, 1e-12)), and the final spanner is the static pipeline's
+  // on that topology.
   const ub::UbgInstance seed_inst = small_instance(72);
   const dy::ChurnTrace trace = dy::poisson_churn(seed_inst, {48, 4.0, 0.5, 23});
-  dy::DynamicSpanner hashed(seed_inst, practical(seed_inst));
-  dy::DynamicOptions scan_opts;
-  scan_opts.linear_scan_discovery = true;
-  dy::DynamicSpanner scanned(seed_inst, practical(seed_inst), scan_opts);
+  dy::DynamicOptions opts;
+  opts.always_full_recompute = true;
+  opts.check = dy::CheckLevel::kOff;
+  dy::DynamicSpanner engine(seed_inst, practical(seed_inst), opts);
+  const double r2 = opts.connect_radius * opts.connect_radius;
   for (const dy::ChurnEvent& ev : trace.events) {
-    hashed.apply(ev);
-    scanned.apply(ev);
-    ASSERT_EQ(hashed.instance().g, scanned.instance().g) << "UBG diverged at t=" << ev.time;
+    engine.apply(ev);
+    const ub::UbgInstance& inst = engine.instance();
+    for (int u = 0; u < inst.g.n(); ++u) {
+      if (!engine.is_active(u)) continue;
+      for (int v = u + 1; v < inst.g.n(); ++v) {
+        if (!engine.is_active(v)) continue;
+        const double d2 = localspan::geom::sq_distance(inst.points[static_cast<std::size_t>(u)],
+                                                       inst.points[static_cast<std::size_t>(v)]);
+        ASSERT_EQ(inst.g.has_edge(u, v), d2 <= r2)
+            << "pair {" << u << "," << v << "} at t=" << ev.time;
+        if (d2 <= r2) {
+          ASSERT_EQ(inst.g.edge_weight(u, v), std::max(std::sqrt(d2), 1e-12));
+        }
+      }
+    }
   }
-  EXPECT_EQ(hashed.spanner(), scanned.spanner());
-  EXPECT_EQ(hashed.active_count(), scanned.active_count());
+  const gr::Graph fresh = co::relaxed_greedy(engine.instance(), engine.params()).spanner;
+  EXPECT_EQ(engine.spanner(), fresh);
 }
 
 TEST(DynamicSpanner, GridDiscoveryHonorsConnectRadius) {

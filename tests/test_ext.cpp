@@ -3,13 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "core/greedy.hpp"
 #include "core/relaxed_greedy.hpp"
 #include "ext/energy.hpp"
 #include "ext/fault_tolerant.hpp"
 #include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/metrics.hpp"
 #include "ubg/generator.hpp"
 
@@ -109,6 +110,20 @@ TEST(Energy, TransformBasics) {
   EXPECT_DOUBLE_EQ(t4(0.5), 2.0 * 0.0625);
   EXPECT_THROW(static_cast<void>(ext::energy_transform(0.0, 2.0)), std::invalid_argument);
   EXPECT_THROW(static_cast<void>(ext::energy_transform(1.0, 0.5)), std::invalid_argument);
+  // Non-finite c or gamma is named up front (c=inf would otherwise build an
+  // edgeless "spanner", gamma=inf fail later on a zero edge weight).
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {std::nan(""), inf, -inf}) {
+    for (const bool bad_c : {true, false}) {
+      try {
+        static_cast<void>(ext::energy_transform(bad_c ? bad : 1.0, bad_c ? 2.0 : bad));
+        ADD_FAILURE() << (bad_c ? "c=" : "gamma=") << bad << " accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_STREQ(e.what(), bad_c ? "energy_transform: c must be finite"
+                                     : "energy_transform: gamma must be finite");
+      }
+    }
+  }
 }
 
 TEST(Energy, ReweightKeepsStructure) {

@@ -1,4 +1,4 @@
-// Unit tests for the graph substrate: Graph, Dijkstra variants, union-find,
+// Unit tests for the graph substrate: Graph, the Dijkstra workspace, union-find,
 // MSF, components, and the spanner metrics.
 #include <gtest/gtest.h>
 
@@ -7,10 +7,10 @@
 #include <vector>
 
 #include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/graph.hpp"
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
+#include "graph/sp_workspace.hpp"
 #include "graph/union_find.hpp"
 
 namespace gr = localspan::graph;
@@ -125,11 +125,11 @@ TEST(Graph, EqualityIsStructural) {
 TEST(Dijkstra, MatchesFloydWarshall) {
   const gr::Graph g = random_graph(40, 0.15, 42);
   const auto fw = floyd_warshall(g);
+  gr::DijkstraWorkspace ws;
   for (int src = 0; src < g.n(); src += 7) {
-    const gr::ShortestPaths sp = gr::dijkstra(g, src);
+    const gr::SpView sp = ws.bounded(g, src, gr::kInf);
     for (int v = 0; v < g.n(); ++v) {
-      EXPECT_NEAR(sp.dist[static_cast<std::size_t>(v)],
-                  fw[static_cast<std::size_t>(src)][static_cast<std::size_t>(v)], 1e-9);
+      EXPECT_NEAR(sp.dist(v), fw[static_cast<std::size_t>(src)][static_cast<std::size_t>(v)], 1e-9);
     }
   }
 }
@@ -138,31 +138,34 @@ TEST(Dijkstra, BoundedStopsAtRadius) {
   const gr::Graph g = random_graph(60, 0.1, 7);
   const auto fw = floyd_warshall(g);
   const double radius = 1.0;
-  const gr::ShortestPaths sp = gr::dijkstra_bounded(g, 0, radius);
+  gr::DijkstraWorkspace ws;
+  const gr::SpView sp = ws.bounded(g, 0, radius);
   for (int v = 0; v < g.n(); ++v) {
     const double truth = fw[0][static_cast<std::size_t>(v)];
     if (truth <= radius) {
-      EXPECT_NEAR(sp.dist[static_cast<std::size_t>(v)], truth, 1e-9);
+      EXPECT_NEAR(sp.dist(v), truth, 1e-9);
     } else {
-      EXPECT_EQ(sp.dist[static_cast<std::size_t>(v)], gr::kInf);
+      EXPECT_EQ(sp.dist(v), gr::kInf);
     }
   }
 }
 
-TEST(Dijkstra, SpDistanceEarlyExit) {
+TEST(Dijkstra, DistanceEarlyExit) {
   gr::Graph g(4);
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
   g.add_edge(2, 3, 1.0);
-  EXPECT_DOUBLE_EQ(gr::sp_distance(g, 0, 3), 3.0);
-  EXPECT_EQ(gr::sp_distance(g, 0, 3, 2.5), gr::kInf);  // over budget
-  EXPECT_DOUBLE_EQ(gr::sp_distance(g, 0, 0), 0.0);
+  gr::DijkstraWorkspace ws;
+  EXPECT_DOUBLE_EQ(ws.distance(g, 0, 3), 3.0);
+  EXPECT_EQ(ws.distance(g, 0, 3, 2.5), gr::kInf);  // over budget
+  EXPECT_DOUBLE_EQ(ws.distance(g, 0, 0), 0.0);
 }
 
 TEST(Dijkstra, DisconnectedIsInf) {
   gr::Graph g(3);
   g.add_edge(0, 1, 1.0);
-  EXPECT_EQ(gr::sp_distance(g, 0, 2), gr::kInf);
+  gr::DijkstraWorkspace ws;
+  EXPECT_EQ(ws.distance(g, 0, 2), gr::kInf);
 }
 
 TEST(Graph, AddVertexGrowsWithoutDisturbingEdges) {
@@ -183,26 +186,25 @@ TEST(Dijkstra, MultiSourceBoundedTakesMinOverSources) {
   const auto fw = floyd_warshall(g);
   const std::vector<int> sources{0, 5, 17};
   const double radius = 1.2;
-  const gr::ShortestPaths sp = gr::dijkstra_multi_bounded(g, sources, radius);
+  gr::DijkstraWorkspace ws;
+  const gr::SpView sp = ws.multi_bounded(g, sources, radius);
   for (int v = 0; v < g.n(); ++v) {
     double truth = gr::kInf;
     for (int s : sources) {
       truth = std::min(truth, fw[static_cast<std::size_t>(s)][static_cast<std::size_t>(v)]);
     }
     if (truth <= radius) {
-      EXPECT_NEAR(sp.dist[static_cast<std::size_t>(v)], truth, 1e-9) << v;
+      EXPECT_NEAR(sp.dist(v), truth, 1e-9) << v;
     } else {
-      EXPECT_EQ(sp.dist[static_cast<std::size_t>(v)], gr::kInf) << v;
+      EXPECT_EQ(sp.dist(v), gr::kInf) << v;
     }
   }
   // Duplicate sources are legal; bad ones and negative radii are not.
   const std::vector<int> dup{0, 0};
-  EXPECT_EQ(gr::dijkstra_multi_bounded(g, dup, 1.0).dist[0], 0.0);
+  EXPECT_EQ(ws.multi_bounded(g, dup, 1.0).dist(0), 0.0);
   const std::vector<int> bad{-1};
-  EXPECT_THROW(static_cast<void>(gr::dijkstra_multi_bounded(g, bad, 1.0)),
-               std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(gr::dijkstra_multi_bounded(g, sources, -1.0)),
-               std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(ws.multi_bounded(g, bad, 1.0)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(ws.multi_bounded(g, sources, -1.0)), std::invalid_argument);
 }
 
 TEST(Dijkstra, MultiSourceHonorsWeightTransform) {
@@ -211,34 +213,25 @@ TEST(Dijkstra, MultiSourceHonorsWeightTransform) {
   g.add_edge(1, 2, 3.0);
   const std::vector<int> src{0};
   // Squared weights: dist(0,2) = 4 + 9 = 13.
-  const gr::ShortestPaths sp =
-      gr::dijkstra_multi_bounded(g, src, 100.0, [](double w) { return w * w; });
-  EXPECT_DOUBLE_EQ(sp.dist[1], 4.0);
-  EXPECT_DOUBLE_EQ(sp.dist[2], 13.0);
+  gr::DijkstraWorkspace ws;
+  const gr::SpView sp = ws.multi_bounded(g, src, 100.0, [](double w) { return w * w; });
+  EXPECT_DOUBLE_EQ(sp.dist(1), 4.0);
+  EXPECT_DOUBLE_EQ(sp.dist(2), 13.0);
 }
 
 TEST(Dijkstra, ParentsFormShortestTree) {
   const gr::Graph g = random_graph(50, 0.12, 99);
-  const gr::ShortestPaths sp = gr::dijkstra(g, 0);
+  gr::DijkstraWorkspace ws;
+  const gr::SpView sp = ws.bounded(g, 0, gr::kInf);
   for (int v = 1; v < g.n(); ++v) {
-    const int p = sp.parent[static_cast<std::size_t>(v)];
-    if (sp.dist[static_cast<std::size_t>(v)] == gr::kInf) {
+    const int p = sp.parent(v);
+    if (sp.dist(v) == gr::kInf) {
       EXPECT_EQ(p, -1);
       continue;
     }
     if (p == -1) continue;  // v unreachable or root
-    EXPECT_NEAR(sp.dist[static_cast<std::size_t>(v)],
-                sp.dist[static_cast<std::size_t>(p)] + g.edge_weight(p, v), 1e-9);
+    EXPECT_NEAR(sp.dist(v), sp.dist(p) + g.edge_weight(p, v), 1e-9);
   }
-}
-
-TEST(Dijkstra, KHopBall) {
-  gr::Graph g(6);  // path 0-1-2-3-4-5
-  for (int i = 0; i < 5; ++i) g.add_edge(i, i + 1, 1.0);
-  EXPECT_EQ(gr::khop_ball(g, 0, 0).size(), 1u);
-  EXPECT_EQ(gr::khop_ball(g, 0, 2).size(), 3u);
-  EXPECT_EQ(gr::khop_ball(g, 2, 2).size(), 5u);
-  EXPECT_EQ(gr::khop_ball(g, 0, 99).size(), 6u);
 }
 
 TEST(Dijkstra, PathHops) {
@@ -246,10 +239,11 @@ TEST(Dijkstra, PathHops) {
   g.add_edge(0, 1, 1.0);
   g.add_edge(1, 2, 1.0);
   g.add_edge(0, 2, 5.0);  // heavier shortcut
-  const gr::ShortestPaths sp = gr::dijkstra(g, 0);
-  EXPECT_EQ(gr::path_hops(sp, 2), 2);  // goes the light way
-  EXPECT_EQ(gr::path_hops(sp, 0), 0);
-  EXPECT_EQ(gr::path_hops(sp, 3), -1);
+  gr::DijkstraWorkspace ws;
+  const gr::SpView sp = ws.bounded(g, 0, gr::kInf);
+  EXPECT_EQ(sp.path_hops(2), 2);  // goes the light way
+  EXPECT_EQ(sp.path_hops(0), 0);
+  EXPECT_EQ(sp.path_hops(3), -1);
 }
 
 TEST(UnionFind, BasicMerging) {

@@ -6,9 +6,9 @@
 
 #include "core/greedy.hpp"
 #include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
+#include "graph/sp_workspace.hpp"
 #include "ubg/generator.hpp"
 
 namespace core = localspan::core;
@@ -118,9 +118,10 @@ TEST(SeqGreedyClique, SpansACliqueWithBoundedDegree) {
   gr::Graph sp(40);
   for (const gr::Edge& e : edges) sp.add_edge(e.u, e.v, e.w);
   // Spanner property over all clique pairs.
+  gr::DijkstraWorkspace ws;
   for (int u = 0; u < 40; ++u) {
     for (int v = u + 1; v < 40; ++v) {
-      EXPECT_LE(gr::sp_distance(sp, u, v), t * weight(u, v) + 1e-12);
+      EXPECT_LE(ws.distance(sp, u, v), t * weight(u, v) + 1e-12);
     }
   }
   // Degree O(1): greedy spanners of 2-D point sets stay very sparse.

@@ -144,7 +144,9 @@ TEST(FailureInjection, BrokenMisIsDetected) {
   const auto inst = instance(3, 60);
   const gr::Graph gp = core::seq_greedy(inst.g, 1.5);
   const auto empty_mis = [](const gr::Graph&) { return std::vector<int>{}; };
-  EXPECT_THROW(static_cast<void>(cl::mis_cover(gp, 0.2, empty_mis)), std::logic_error);
+  gr::DijkstraWorkspace ws;
+  EXPECT_THROW(static_cast<void>(cl::mis_cover(gr::CsrView(gp), 0.2, ws, empty_mis)),
+               std::logic_error);
 }
 
 TEST(FailureInjection, VerifierCatchesSabotagedSpanner) {

@@ -1,6 +1,6 @@
 /// Tests for the epoch-stamped shortest-path workspace and CSR snapshots
-/// (graph/sp_workspace.hpp): equivalence against the retained dense
-/// reference implementation across the scenario matrix, the
+/// (graph/sp_workspace.hpp): equivalence against the dense reference
+/// oracle (sp_reference.hpp) across the scenario matrix, the
 /// epoch-wraparound rebase, the stale-view / reuse-across-graphs error
 /// paths, and the zero-allocation steady state (counting allocator).
 #include <gtest/gtest.h>
@@ -16,11 +16,13 @@
 #include "core/params.hpp"
 #include "dynamic/churn.hpp"
 #include "dynamic/dynamic_spanner.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/sp_workspace.hpp"
 #include "scenario_matrix.hpp"
+#include "sp_reference.hpp"
 
 namespace gr = localspan::graph;
+using localspan::testinfra::dense_dijkstra;
+using localspan::testinfra::DenseSp;
 using localspan::testinfra::Scenario;
 using localspan::testinfra::ScenarioName;
 
@@ -69,7 +71,7 @@ namespace {
 /// identical distances everywhere, touched == the settled ball, and a
 /// parent tree that reproduces the distances.
 void expect_equivalent(
-    const gr::Graph& g, const gr::ShortestPaths& dense, const gr::SpView& sp,
+    const gr::Graph& g, const DenseSp& dense, const gr::SpView& sp,
     const std::function<double(double)>& weight = [](double w) { return w; }) {
   int settled = 0;
   for (int v = 0; v < g.n(); ++v) {
@@ -101,11 +103,7 @@ TEST_P(SpWorkspaceMatrixTest, BoundedMatchesDenseReference) {
   gr::DijkstraWorkspace ws;
   for (const double radius : {0.1, 0.45, gr::kInf}) {
     for (int src : {0, g.n() / 2, g.n() - 1}) {
-      const gr::ShortestPaths dense = radius == gr::kInf
-                                          ? gr::dijkstra(g, src)
-                                          : gr::dijkstra_bounded(g, src, radius);
-      const gr::SpView sp = ws.bounded(g, src, radius);
-      expect_equivalent(g, dense, sp);
+      expect_equivalent(g, dense_dijkstra(g, src, radius), ws.bounded(g, src, radius));
     }
   }
 }
@@ -116,9 +114,7 @@ TEST_P(SpWorkspaceMatrixTest, MultiSourceMatchesDenseReference) {
   gr::DijkstraWorkspace ws;
   const std::vector<int> sources{0, g.n() / 3, g.n() - 1, 0};  // duplicate on purpose
   for (const double radius : {0.2, 0.6}) {
-    const gr::ShortestPaths dense = gr::dijkstra_multi_bounded(g, sources, radius);
-    const gr::SpView sp = ws.multi_bounded(g, sources, radius);
-    expect_equivalent(g, dense, sp);
+    expect_equivalent(g, dense_dijkstra(g, sources, radius), ws.multi_bounded(g, sources, radius));
   }
 }
 
@@ -129,9 +125,8 @@ TEST_P(SpWorkspaceMatrixTest, TransformedMatchesDenseReference) {
   const auto energy = [](double w) { return w * w; };
   const std::vector<int> sources{0, g.n() - 1};
   const double radius = 0.4;
-  const gr::ShortestPaths dense = gr::dijkstra_multi_bounded(g, sources, radius, energy);
-  const gr::SpView sp = ws.multi_bounded(g, sources, radius, energy);
-  expect_equivalent(g, dense, sp, energy);
+  expect_equivalent(g, dense_dijkstra(g, sources, radius, energy),
+                    ws.multi_bounded(g, sources, radius, energy), energy);
 }
 
 TEST_P(SpWorkspaceMatrixTest, CsrSearchesMatchGraphSearches) {
@@ -149,53 +144,19 @@ TEST_P(SpWorkspaceMatrixTest, CsrSearchesMatchGraphSearches) {
     }
   }
   gr::DijkstraWorkspace ws;
-  const gr::ShortestPaths dense = gr::dijkstra_bounded(g, 0, 0.5);
-  expect_equivalent(g, dense, ws.bounded(csr, 0, 0.5));
+  expect_equivalent(g, dense_dijkstra(g, 0, 0.5), ws.bounded(csr, 0, 0.5));
 }
 
-TEST_P(SpWorkspaceMatrixTest, DistanceMatchesSpDistance) {
+TEST_P(SpWorkspaceMatrixTest, DistanceMatchesDenseReference) {
   const localspan::ubg::UbgInstance inst = GetParam().make();
   const gr::Graph& g = inst.g;
   gr::DijkstraWorkspace ws;
   for (const double bound : {0.25, gr::kInf}) {
+    const DenseSp dense = dense_dijkstra(g, 0, bound);
     for (int v : {0, g.n() / 2, g.n() - 1}) {
-      EXPECT_EQ(gr::sp_distance(g, 0, v, bound), ws.distance(g, 0, v, bound));
+      EXPECT_EQ(dense.dist[static_cast<std::size_t>(v)], ws.distance(g, 0, v, bound));
     }
   }
-}
-
-TEST_P(SpWorkspaceMatrixTest, HeapArityDoesNotChangeResults) {
-  // The workspace heap is d-ary with a compile-time arity (production uses
-  // 4). Arity only reorders pops among equal keys, and every settled vertex
-  // relaxes with its final distance, so the settled set and every distance
-  // must be bitwise identical between a binary and a 4-ary heap; parents may
-  // legitimately differ on exact ties, so they are checked against the dense
-  // reference instead of across arities.
-  const localspan::ubg::UbgInstance inst = GetParam().make();
-  const gr::Graph& g = inst.g;
-  gr::BasicDijkstraWorkspace<2> binary;
-  gr::BasicDijkstraWorkspace<4> quad;
-  for (const double radius : {0.1, 0.45, gr::kInf}) {
-    for (int src : {0, g.n() / 2, g.n() - 1}) {
-      const gr::ShortestPaths dense = radius == gr::kInf
-                                          ? gr::dijkstra(g, src)
-                                          : gr::dijkstra_bounded(g, src, radius);
-      const gr::SpView b = binary.bounded(g, src, radius);
-      const gr::SpView q = quad.bounded(g, src, radius);
-      expect_equivalent(g, dense, b);
-      expect_equivalent(g, dense, q);
-      for (int v = 0; v < g.n(); ++v) {
-        EXPECT_EQ(b.dist(v), q.dist(v)) << "vertex " << v;  // bitwise
-        EXPECT_EQ(b.reached(v), q.reached(v)) << "vertex " << v;
-      }
-      EXPECT_EQ(b.touched().size(), q.touched().size());
-    }
-  }
-  const auto energy = [](double w) { return w * w; };
-  const std::vector<int> sources{0, g.n() / 3, g.n() - 1};
-  const gr::SpView mb = binary.multi_bounded(g, sources, 0.6, energy);
-  const gr::SpView mq = quad.multi_bounded(g, sources, 0.6, energy);
-  for (int v = 0; v < g.n(); ++v) EXPECT_EQ(mb.dist(v), mq.dist(v)) << "vertex " << v;
 }
 
 INSTANTIATE_TEST_SUITE_P(Matrix, SpWorkspaceMatrixTest,
@@ -279,7 +240,7 @@ TEST(SpWorkspace, ReuseAcrossGraphsIsSafeAndStaleViewsAreCaught) {
   EXPECT_DOUBLE_EQ(again.dist(0), 5.0);
 }
 
-TEST(SpWorkspace, ArgumentErrorsMatchDenseReference) {
+TEST(SpWorkspace, ArgumentErrorsThrow) {
   const gr::Graph g = path_graph();
   gr::DijkstraWorkspace ws;
   EXPECT_THROW(static_cast<void>(ws.bounded(g, -1, 1.0)), std::invalid_argument);
@@ -408,33 +369,6 @@ TEST(SpWorkspaceAlloc, WarmSearchesAllocateNothing) {
   static_cast<void>(ws.distance(g, 0, g.n() - 1));
   allocs = g_allocs.load() - allocs;
   EXPECT_EQ(allocs, 0) << "warmed distance query allocated";
-}
-
-TEST(SpWorkspaceAlloc, WarmSearchesAllocateNothingAtEveryArity) {
-  // The 4-ary production heap and the binary reference both keep the
-  // zero-steady-state-allocation invariant: arity changes sift fan-out, not
-  // buffer ownership.
-  const localspan::ubg::UbgInstance inst =
-      Scenario{2, localspan::ubg::Placement::kUniform, 0.75, 256, 3}.make();
-  const gr::Graph& g = inst.g;
-  const std::vector<int> sources{1, 5, 9};
-  gr::BasicDijkstraWorkspace<2> binary;
-  gr::BasicDijkstraWorkspace<4> quad;
-  const auto sweep = [&](auto& ws) {
-    static_cast<void>(ws.bounded(g, 2, gr::kInf));
-    static_cast<void>(ws.multi_bounded(g, sources, 0.8));
-    static_cast<void>(ws.distance(g, 0, g.n() - 1));
-  };
-  sweep(binary);  // warm-up
-  sweep(quad);
-  long long allocs = g_allocs.load();
-  sweep(binary);
-  allocs = g_allocs.load() - allocs;
-  EXPECT_EQ(allocs, 0) << "warmed binary-heap searches allocated";
-  allocs = g_allocs.load();
-  sweep(quad);
-  allocs = g_allocs.load() - allocs;
-  EXPECT_EQ(allocs, 0) << "warmed 4-ary-heap searches allocated";
 }
 
 TEST(SpWorkspaceAlloc, CsrReassignAllocatesNothingOnceGrown) {

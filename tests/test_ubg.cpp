@@ -1,12 +1,37 @@
 // Tests for the α-UBG model: gray-zone policies and instance generation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "graph/components.hpp"
 #include "ubg/generator.hpp"
 #include "ubg/policy.hpp"
 
 namespace ub = localspan::ubg;
 namespace gr = localspan::graph;
+
+namespace {
+
+/// The message of the std::invalid_argument `fn` throws ("" if none).
+template <class Fn>
+std::string invalid_argument_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+/// NaN passes a `x < lo || x > hi` range check, so each policy must name a
+/// non-finite parameter itself.
+const double kNonFinite[] = {std::nan(""), std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity()};
+
+}  // namespace
 
 TEST(Policy, AlwaysAndNever) {
   const auto a = ub::always_connect();
@@ -38,6 +63,10 @@ TEST(Policy, ProbabilisticRespectsExtremes) {
   }
   EXPECT_THROW(ub::probabilistic(1.5, 0), std::invalid_argument);
   EXPECT_THROW(ub::probabilistic(-0.1, 0), std::invalid_argument);
+  for (const double bad : kNonFinite) {
+    EXPECT_EQ(invalid_argument_message([&] { static_cast<void>(ub::probabilistic(bad, 0)); }),
+              "probabilistic: p must be finite");
+  }
 }
 
 TEST(Policy, ProbabilisticHitsRateApproximately) {
@@ -55,6 +84,10 @@ TEST(Policy, Threshold) {
   EXPECT_TRUE(p->connect(0, 1, 0.85));
   EXPECT_FALSE(p->connect(0, 1, 0.86));
   EXPECT_THROW(ub::threshold(1.5), std::invalid_argument);
+  for (const double bad : kNonFinite) {
+    EXPECT_EQ(invalid_argument_message([&] { static_cast<void>(ub::threshold(bad)); }),
+              "threshold: beta must be finite");
+  }
 }
 
 TEST(Generator, ValidatesConfig) {

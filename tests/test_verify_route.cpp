@@ -2,12 +2,13 @@
 // k-hop gather protocol, and the theta-graph / vertex-FT additions.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "baseline/yao.hpp"
 #include "core/relaxed_greedy.hpp"
 #include "core/verify.hpp"
 #include "ext/fault_tolerant.hpp"
 #include "graph/components.hpp"
-#include "graph/dijkstra.hpp"
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
 #include "route/routing.hpp"
@@ -24,6 +25,26 @@ namespace ti = localspan::testinfra;
 namespace ub = localspan::ubg;
 
 namespace {
+
+/// Vertices within `k` hops of src (unweighted BFS ball), including src:
+/// the independent expectation for the k-hop gather protocol.
+std::vector<int> khop_ball(const gr::Graph& g, int src, int k) {
+  std::vector<int> hops(static_cast<std::size_t>(g.n()), -1);
+  std::vector<int> ball{src};
+  hops[static_cast<std::size_t>(src)] = 0;
+  for (std::size_t head = 0; head < ball.size(); ++head) {
+    const int v = ball[head];
+    const int h = hops[static_cast<std::size_t>(v)];
+    if (h == k) continue;
+    for (const gr::Neighbor& nb : g.neighbors(v)) {
+      if (hops[static_cast<std::size_t>(nb.to)] < 0) {
+        hops[static_cast<std::size_t>(nb.to)] = h + 1;
+        ball.push_back(nb.to);
+      }
+    }
+  }
+  return ball;
+}
 
 ub::UbgInstance instance(std::uint64_t seed, int n = 150) {
   ub::UbgConfig cfg;
@@ -173,13 +194,22 @@ TEST(Routing, RejectsBadArgs) {
       std::invalid_argument);
 }
 
+TEST(Gather, KHopBallReference) {
+  gr::Graph g(6);  // path 0-1-2-3-4-5
+  for (int i = 0; i < 5; ++i) g.add_edge(i, i + 1, 1.0);
+  EXPECT_EQ(khop_ball(g, 0, 0).size(), 1u);
+  EXPECT_EQ(khop_ball(g, 0, 2).size(), 3u);
+  EXPECT_EQ(khop_ball(g, 2, 2).size(), 5u);
+  EXPECT_EQ(khop_ball(g, 0, 99).size(), 6u);
+}
+
 TEST(Gather, ViewsMatchHopBalls) {
   const auto inst = instance(11, 80);
   for (int k : {0, 1, 2, 3}) {
     const auto views = rt::khop_views(inst.g, k);
     // Independent expectation: edge {a,b} visible at v iff a or b within k hops.
     for (int v = 0; v < inst.g.n(); v += 7) {
-      const std::vector<int> ball = gr::khop_ball(inst.g, v, k);
+      const std::vector<int> ball = khop_ball(inst.g, v, k);
       std::vector<char> in_ball(static_cast<std::size_t>(inst.g.n()), 0);
       for (int b : ball) in_ball[static_cast<std::size_t>(b)] = 1;
       int expected = 0;

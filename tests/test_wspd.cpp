@@ -4,7 +4,7 @@
 
 #include <random>
 
-#include "graph/dijkstra.hpp"
+#include "graph/sp_workspace.hpp"
 #include "wspd/wspd.hpp"
 
 namespace gm = localspan::geom;
@@ -150,12 +150,13 @@ TEST_P(WspdSpanner, StretchHoldsOnCompleteGraph) {
   const auto pts = random_points(90, 8);
   const gr::Graph spanner = ws::wspd_spanner(pts, t);
   // t-spanner of the COMPLETE Euclidean graph: check all pairs.
+  gr::DijkstraWorkspace dws;
   for (int u = 0; u < static_cast<int>(pts.size()); ++u) {
-    const gr::ShortestPaths sp = gr::dijkstra(spanner, u);
+    const gr::SpView sp = dws.bounded(spanner, u, gr::kInf);
     for (int v = u + 1; v < static_cast<int>(pts.size()); ++v) {
       const double direct = gm::distance(pts[static_cast<std::size_t>(u)],
                                          pts[static_cast<std::size_t>(v)]);
-      EXPECT_LE(sp.dist[static_cast<std::size_t>(v)], t * direct + 1e-9)
+      EXPECT_LE(sp.dist(v), t * direct + 1e-9)
           << u << "->" << v;
     }
   }
@@ -175,13 +176,14 @@ TEST(WspdSpannerBasics, SizeAndValidation) {
 TEST(WspdSpannerBasics, WorksInThreeDimensions) {
   const auto pts = random_points(70, 10, 3);
   const gr::Graph spanner = ws::wspd_spanner(pts, 2.0);
+  gr::DijkstraWorkspace dws;
   for (int u = 0; u < 70; u += 5) {
-    const gr::ShortestPaths sp = gr::dijkstra(spanner, u);
+    const gr::SpView sp = dws.bounded(spanner, u, gr::kInf);
     for (int v = 0; v < 70; v += 7) {
       if (u == v) continue;
       const double direct = gm::distance(pts[static_cast<std::size_t>(u)],
                                          pts[static_cast<std::size_t>(v)]);
-      EXPECT_LE(sp.dist[static_cast<std::size_t>(v)], 2.0 * direct + 1e-9);
+      EXPECT_LE(sp.dist(v), 2.0 * direct + 1e-9);
     }
   }
 }
