@@ -55,6 +55,7 @@ int main() {
   report.meta("eps", eps);
   report.meta("alpha", alpha);
   report.meta("quick", std::string(quick ? "yes" : "no"));
+  report.meta("nproc", static_cast<long long>(runtime::hardware_threads()));
 
   // Table 1: sequential runtime scaling across the algorithm family.
   {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "obs/obs.hpp"
-#include "runtime/parallel.hpp"
 
 namespace localspan::cluster {
 
@@ -31,50 +30,8 @@ ClusterGraph build_cluster_graph(const graph::Graph& gp, const ClusterCover& cov
   return build_cluster_graph(graph::CsrView(gp), cover, w_prev, ws);
 }
 
-namespace {
-
-/// Per-center candidate harvest for the inter-cluster conditions — a pure
-/// function of (gp, cover, center, reach), so it can run on any worker.
-/// `cond1` carries (center b, sp(a,b)) pairs already filtered to b > a,
-/// b a center, sp <= W_{i-1}, in settle order; `cond2` carries one entry per
-/// member-edge crossing into a cluster with center b > a, in scan order,
-/// with the distance (kInf => retry with `retry_bound`). State-dependent
-/// dedup (has_edge) happens at commit time only.
-struct CenterHarvest {
-  struct Cond2 {
-    int b;
-    double d;
-    double retry_bound;
-  };
-  std::vector<std::pair<int, double>> cond1;
-  std::vector<Cond2> cond2;
-
-  void harvest(const graph::CsrView& gp, const ClusterCover& cover,
-               const std::vector<std::vector<int>>& members, int a, double w_prev, double reach,
-               graph::DijkstraWorkspace& ws) {
-    cond1.clear();
-    cond2.clear();
-    const graph::SpView sp = ws.bounded(gp, a, reach);
-    for (int v : sp.touched()) {
-      if (v <= a || cover.center_of[static_cast<std::size_t>(v)] != v) continue;
-      const double d = sp.dist(v);
-      if (d <= w_prev) cond1.push_back({v, d});
-    }
-    for (int u : members[static_cast<std::size_t>(a)]) {
-      for (const graph::Neighbor& nb : gp.neighbors(u)) {
-        const int b = cover.center_of[static_cast<std::size_t>(nb.to)];
-        if (b == a || b < a) continue;  // each unordered center pair once, from min center
-        cond2.push_back({b, sp.dist(b), 2.0 * cover.radius + nb.w + 1e-9});
-      }
-    }
-  }
-};
-
-}  // namespace
-
 ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& cover,
-                                 double w_prev, graph::DijkstraWorkspace& ws,
-                                 runtime::WorkerPool* pool) {
+                                 double w_prev, graph::DijkstraWorkspace& ws) {
   if (w_prev <= 0.0) throw std::invalid_argument("build_cluster_graph: w_prev must be positive");
   const int n = gp.n();
   ClusterGraph cg{graph::Graph(n), 0, 0, 0, 0.0};
@@ -89,10 +46,8 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
 
   // Inter-cluster edges. One bounded Dijkstra per center (radius (2δ+1)W per
   // Lemma 5) serves both membership conditions; the per-center sweeps walk
-  // the settled ball and the center's member list, never all of V. The
-  // searches are independent per center, so with a pool they run in
-  // parallel; edges always commit sequentially in center order, making H
-  // bit-identical at every thread count.
+  // the settled ball and the center's member list, never all of V. Each
+  // unordered center pair is considered once, from its smaller center.
   const double reach = (2.0 * cover.radius / w_prev + 1.0) * w_prev + 1e-12;
   const std::vector<std::vector<int>> members = cover.members();
   std::vector<int> inter_degree(static_cast<std::size_t>(n), 0);
@@ -105,46 +60,36 @@ ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& c
     }
   };
   // Crossing edges whose sp(a,b) exceeded `reach` (phase-0 clique edges
-  // escape the paper's premise) retry with a wider bound after the per-center
-  // harvests are done. The cover still guarantees sp(a,b) <= radius + w(u,v)
-  // + radius, so a bounded retry always succeeds and H keeps the Lemma 7
-  // approximation quality.
+  // escape the paper's premise) retry with a wider bound after the
+  // per-center sweeps are done. The cover still guarantees sp(a,b) <= radius
+  // + w(u,v) + radius, so a bounded retry always succeeds and H keeps the
+  // Lemma 7 approximation quality.
   struct Retry {
     int a, b;
     double bound;
   };
   std::vector<Retry> retries;
   const int nc = static_cast<int>(cover.centers.size());
-  const auto commit = [&](int a, const CenterHarvest& h) {
-    for (const auto& [b, d] : h.cond1) add_inter(a, b, d);
-    for (const CenterHarvest::Cond2& c : h.cond2) {
-      if (cg.h.has_edge(a, c.b)) continue;
-      if (c.d == graph::kInf) {
-        retries.push_back({a, c.b, c.retry_bound});
-        continue;
+  for (const int a : cover.centers) {
+    const graph::SpView sp = ws.bounded(gp, a, reach);
+    // Condition 1: another center within W_{i-1}.
+    for (int b : sp.touched()) {
+      if (b <= a || cover.center_of[static_cast<std::size_t>(b)] != b) continue;
+      const double d = sp.dist(b);
+      if (d <= w_prev) add_inter(a, b, d);
+    }
+    // Condition 2: some G' edge crosses from a member of a into cluster b.
+    for (int u : members[static_cast<std::size_t>(a)]) {
+      for (const graph::Neighbor& nb : gp.neighbors(u)) {
+        const int b = cover.center_of[static_cast<std::size_t>(nb.to)];
+        if (b <= a || cg.h.has_edge(a, b)) continue;
+        const double d = sp.dist(b);
+        if (d == graph::kInf) {
+          retries.push_back({a, b, 2.0 * cover.radius + nb.w + 1e-9});
+        } else {
+          add_inter(a, b, d);
+        }
       }
-      add_inter(a, c.b, c.d);
-    }
-  };
-  if (pool == nullptr || pool->threads() == 1) {
-    // Streaming serial path: one reused harvest, no per-center buffering —
-    // the dynamic repair path builds H per event and must not regrow
-    // scratch once warm within the call.
-    CenterHarvest h;
-    for (int i = 0; i < nc; ++i) {
-      const int a = cover.centers[static_cast<std::size_t>(i)];
-      h.harvest(gp, cover, members, a, w_prev, reach, ws);
-      commit(a, h);
-    }
-  } else {
-    std::vector<CenterHarvest> harvests(static_cast<std::size_t>(nc));
-    pool->for_each(0, nc, [&](int worker, int i) {
-      harvests[static_cast<std::size_t>(i)].harvest(
-          gp, cover, members, cover.centers[static_cast<std::size_t>(i)], w_prev, reach,
-          pool->workspace(worker));
-    });
-    for (int i = 0; i < nc; ++i) {
-      commit(cover.centers[static_cast<std::size_t>(i)], harvests[static_cast<std::size_t>(i)]);
     }
   }
   for (const Retry& r : retries) {

@@ -34,16 +34,10 @@ struct ClusterGraph {
 /// Output-sensitive variant on a frozen CSR snapshot with a caller-owned
 /// workspace: per-center sweeps walk the settled ball (via the SpView
 /// touched list) and the precomputed member lists instead of scanning all n
-/// vertices per center. Produces the identical cluster graph.
-///
-/// With a non-null `pool`, the per-center bounded searches (the dominant
-/// cost) run in parallel — each center's candidate harvest is a pure
-/// function of (gp, cover, center) — and edges are committed sequentially
-/// in center order, so H is bit-identical to the serial build at every
-/// thread count.
+/// vertices per center. Produces the identical cluster graph. The sweep is
+/// serial and streams each center's edges straight into H.
 [[nodiscard]] ClusterGraph build_cluster_graph(const graph::CsrView& gp, const ClusterCover& cover,
-                                               double w_prev, graph::DijkstraWorkspace& ws,
-                                               runtime::WorkerPool* pool = nullptr);
+                                               double w_prev, graph::DijkstraWorkspace& ws);
 
 /// Answer one §2.2.4 query on H: sp_H(x, y) truncated at `bound`
 /// (returns kInf if it exceeds the bound). If `hops_out` is non-null it

@@ -5,10 +5,9 @@
 #include <optional>
 #include <stdexcept>
 
-#include "core/greedy.hpp"
-#include "graph/components.hpp"
 #include "graph/soa_points.hpp"
 #include "mis/luby.hpp"
+#include "obs/obs.hpp"
 #include "runtime/parallel.hpp"
 
 namespace localspan::core {
@@ -22,11 +21,6 @@ using detail::PhaseEdge;
 /// exist in an α-UBG), so a path of length L has at most ⌈2L/α⌉ hops.
 long long hops_for(double length, double alpha) {
   return std::max<long long>(1, static_cast<long long>(std::ceil(2.0 * length / alpha)));
-}
-
-std::function<double(double)> make_transform(const RelaxedGreedyOptions& opts) {
-  if (opts.weight_transform) return opts.weight_transform;
-  return [](double len) { return len; };
 }
 
 }  // namespace
@@ -44,17 +38,18 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   }
   const int n = inst.g.n();
   const long long m_edges = inst.g.m();
-  const auto transform = make_transform(opts);
+  const auto transform = detail::weight_transform(opts);
   const int lstar = log_star(static_cast<double>(std::max(2, n)));
 
   DistributedResult result{{graph::Graph(n), params, {}, 0, 0, 0}, {}, {}};
   graph::Graph& spanner = result.base.spanner;
   runtime::RoundLedger& ledger = result.ledger;
 
-  // Worker team for the simulator's compute spine (binning, MIS, query
-  // selection/answering, redundancy balls). The round/message accounting is
-  // analytic, so parallel execution changes wall-clock only — every result,
-  // including the charged ledger, is bit-identical across thread counts.
+  // Worker team for the same parallel phases as relaxed_greedy (binning,
+  // the covered-edge filter, query answering). The round/message accounting
+  // is analytic, so parallel execution changes wall-clock only — every
+  // result, including the charged ledger, is bit-identical across thread
+  // counts.
   std::optional<runtime::WorkerPool> run_pool;
   runtime::WorkerPool* pool = opts.worker_pool;
   if (pool == nullptr) {
@@ -63,6 +58,7 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   }
   graph::DijkstraWorkspace run_ws;
   graph::DijkstraWorkspace& ws = opts.workspace != nullptr ? *opts.workspace : run_ws;
+  graph::CsrView csr;
   const graph::SoaPoints pts(inst.points);
 
   const std::vector<graph::Edge> ge = inst.g.edges();
@@ -73,7 +69,10 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
     lens.push_back(e.w);
   }
   const BinSchema schema(params.alpha, params.r, n);
-  const auto bins = group_edges_by_bin(weighted, schema, lens, pool);
+  const auto bins = [&] {
+    const obs::Span span(detail::rg_metrics().bins_span);
+    return group_edges_by_bin(weighted, schema, lens, pool);
+  }();
   result.base.total_bins = static_cast<int>(bins.size());
 
   // ---- Phase 0 (§3.1): every node learns its closed neighborhood topology
@@ -82,32 +81,18 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   // announces its incident spanner edges in 1 round. We compute the same
   // spanner centrally and charge those 3 rounds.
   {
-    PhaseStats st;
-    st.bin = 0;
-    st.w_hi = params.alpha / n;
-    st.edges_in_bin = static_cast<int>(bins[0].size());
-    graph::Graph g0(n);
-    for (const graph::Edge& e : bins[0]) g0.add_edge(e.u, e.v, e.w);
-    const graph::Components comps = graph::connected_components(g0);
-    const auto weight = [&](int u, int v) {
-      return transform(std::max(pts.distance(u, v), 1e-12));
-    };
-    for (const std::vector<int>& members : comps.groups()) {
-      if (members.size() < 2) continue;
-      ++result.base.phase0_components;
-      for (const graph::Edge& e : seq_greedy_clique(members, weight, params.t)) {
-        if (spanner.add_edge(e.u, e.v, e.w)) ++st.added;
-      }
-    }
+    const obs::Span span(detail::rg_metrics().phase0);
+    result.base.phases.push_back(detail::process_short_edges(
+        inst, pts, bins[0], transform, params, opts.phase0_clique_cap, spanner,
+        &result.base.phase0_components));
     ledger.charge("phase0", 3, 3 * 2 * m_edges);
-    result.base.phases.push_back(st);
   }
 
   std::uint64_t phase_seed = seed;
 
-  // MIS transport: sync (the pool-parallel harvester, which reproduces the
-  // SyncNetwork's round/message accounting analytically and bit-identically
-  // — both consume mis::luby_priority) or the adversarial async runtime
+  // MIS transport: sync (mis::luby_mis, which reproduces the SyncNetwork's
+  // round/message accounting analytically and bit-identically — both
+  // consume mis::luby_priority) or the adversarial async runtime
   // behind the reliable-delivery layer. Each invocation gets a fresh
   // network over its derived graph J and its own adversary seed (hashed
   // from the base seed and the invocation index), so a whole run replays
@@ -116,7 +101,7 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   AsyncNetSummary& async = result.net.async;
   const auto run_mis = [&](const graph::Graph& j, mis::LubyStats* luby, const char* section) {
     if (net_opts.mode == NetMode::kSync) {
-      return mis::luby_mis_parallel(j, ++phase_seed, luby, pool, nullptr, section);
+      return mis::luby_mis(j, ++phase_seed, luby);
     }
     runtime::AdversaryConfig adv = net_opts.adversary;
     adv.seed = adv.seed * 0x9E3779B97F4A7C15ULL + static_cast<std::uint64_t>(++async_invocation);
@@ -173,8 +158,12 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
     const long long k_ball = hops_for(params.delta * w_eucl, params.alpha);
     mis::LubyStats luby1;
     const auto mis_fn = [&](const graph::Graph& j) { return run_mis(j, &luby1, "cover-mis"); };
-    const cluster::ClusterCover cover =
-        cluster::mis_cover(graph::CsrView(spanner), radius, ws, mis_fn);
+    // One CSR snapshot of G'_{i-1} serves the cover and the cluster graph.
+    csr.assign(spanner);
+    const cluster::ClusterCover cover = [&] {
+      const obs::Span span(detail::rg_metrics().cover_span);
+      return cluster::mis_cover(csr, radius, ws, mis_fn);
+    }();
     st.clusters = static_cast<int>(cover.centers.size());
 
     pr.cover = k_ball                       // learn the δW ball of G'_{i-1}
@@ -188,52 +177,25 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
     result.net.max_luby_iterations = std::max(result.net.max_luby_iterations, luby1.iterations);
 
     // ---- (ii) query edge selection (§3.2.2): heads gather 1 + 2δW/α hops.
-    // The θ-cone tests are pure per-edge functions of (pts, G'_{i-1}), so
-    // they harvest in parallel; candidates commit in bin order.
-    std::vector<PhaseEdge> candidates;
-    {
-      enum : char { kAlready, kCovered, kCandidate };
-      std::vector<char> status(bin.size(), kCandidate);
-      std::vector<double> elen(bin.size(), 0.0);
-      const auto classify = [&](int k) {
-        const graph::Edge& e = bin[static_cast<std::size_t>(k)];
-        if (spanner.has_edge(e.u, e.v)) {
-          status[static_cast<std::size_t>(k)] = kAlready;
-          return;
-        }
-        const double len = pts.distance(e.u, e.v);
-        elen[static_cast<std::size_t>(k)] = len;
-        if (opts.covered_edge_filter &&
-            detail::is_covered_edge(pts, inst.config.alpha, spanner, {e.u, e.v, len, e.w},
-                                    params.theta)) {
-          status[static_cast<std::size_t>(k)] = kCovered;
-        }
-      };
-      if (pool != nullptr && pool->threads() > 1) {
-        pool->for_each(0, static_cast<int>(bin.size()), [&](int, int k) { classify(k); });
-      } else {
-        for (int k = 0; k < static_cast<int>(bin.size()); ++k) classify(k);
-      }
-      for (std::size_t k = 0; k < bin.size(); ++k) {
-        const graph::Edge& e = bin[k];
-        if (status[k] == kAlready) {
-          ++st.already_in_spanner;
-        } else if (status[k] == kCovered) {
-          ++st.covered;
-        } else {
-          candidates.push_back({e.u, e.v, elen[k], e.w});
-        }
-      }
-    }
-    st.candidates = static_cast<int>(candidates.size());
-    const std::vector<PhaseEdge> queries = detail::select_query_edges(
-        candidates, cover, params.t, &st.max_query_edges_per_cluster, pool);
+    const std::vector<PhaseEdge> candidates = [&] {
+      const obs::Span span(detail::rg_metrics().filter_span);
+      return detail::filter_candidates(bin, pts, inst.config.alpha, spanner, params.theta,
+                                       opts.covered_edge_filter, st, pool);
+    }();
+    const std::vector<PhaseEdge> queries = [&] {
+      const obs::Span span(detail::rg_metrics().select_span);
+      return detail::select_query_edges(candidates, cover, params.t,
+                                        &st.max_query_edges_per_cluster);
+    }();
     st.queries = static_cast<int>(queries.size());
     pr.select = k_ball + 1;
     ledger.charge("select", pr.select, (k_ball + 1) * 2 * m_edges);
 
     // ---- (iii) cluster graph (§3.2.3): gather 2(2δ+1)W/α hops.
-    const cluster::ClusterGraph cg = cluster::build_cluster_graph(spanner, cover, w_prev);
+    const cluster::ClusterGraph cg = [&] {
+      const obs::Span span(detail::rg_metrics().cluster_graph_span);
+      return cluster::build_cluster_graph(csr, cover, w_prev, ws);
+    }();
     st.max_inter_degree = cg.max_inter_degree;
     st.max_inter_weight = cg.max_inter_weight;
     const long long k_h = hops_for((2.0 * params.delta + 1.0) * w_eucl, params.alpha);
@@ -241,8 +203,10 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
     ledger.charge("clustergraph", k_h, k_h * 2 * m_edges);
 
     // ---- (iv) query answering (§3.2.4): Theorem 9 constant-hop search.
-    const std::vector<PhaseEdge> to_add =
-        detail::answer_queries(ws, cg.h, queries, params.t, &st.max_query_hops, pool);
+    const std::vector<PhaseEdge> to_add = [&] {
+      const obs::Span span(detail::rg_metrics().queries_span);
+      return detail::answer_queries(ws, cg.h, queries, params.t, &st.max_query_hops, pool);
+    }();
     for (const PhaseEdge& e : to_add) spanner.add_edge(e.u, e.v, e.w);
     st.added = static_cast<int>(to_add.size());
     const long long k_q = hops_for(2.0 * params.delta + 1.0, params.alpha);
@@ -252,12 +216,13 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
     // ---- (v) redundant edge removal (§3.2.5): constant-hop exchange +
     // Luby MIS on the conflict graph (J-edges span ≤ 2 t1 r W/α G-hops).
     if (opts.redundancy_removal && to_add.size() >= 2) {
+      const obs::Span span(detail::rg_metrics().redundancy_span);
       mis::LubyStats luby2;
       const auto mis_fn2 = [&](const graph::Graph& j) {
         return run_mis(j, &luby2, "redundancy-mis");
       };
       const std::vector<int> removal =
-          detail::redundant_edge_removal(ws, cg.h, to_add, params.t1, mis_fn2, pool);
+          detail::redundant_edge_removal(ws, cg.h, to_add, params.t1, mis_fn2);
       for (int idx : removal) {
         const PhaseEdge& e = to_add[static_cast<std::size_t>(idx)];
         spanner.remove_edge(e.u, e.v);

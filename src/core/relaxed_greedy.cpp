@@ -58,49 +58,27 @@ bool is_covered_edge(const graph::SoaPoints& pts, double alpha, const graph::Gra
 
 std::vector<PhaseEdge> select_query_edges(const std::vector<PhaseEdge>& candidates,
                                           const cluster::ClusterCover& cover, double t,
-                                          int* per_cluster_max, runtime::WorkerPool* pool) {
+                                          int* per_cluster_max) {
   struct Best {
     double objective;
     PhaseEdge edge;
   };
   // The winner per cluster pair is the lexicographic minimum by
-  // (objective, (u, v)) — a total order — so folding any partition of the
-  // candidates with this rule and merging with the same rule yields the
-  // same map regardless of chunk boundaries or fold order.
-  const auto fold = [&](std::map<std::pair<int, int>, Best>& acc, const PhaseEdge& e,
-                        double objective) {
-    const int ca = cover.center_of[static_cast<std::size_t>(e.u)];
-    const int cb = cover.center_of[static_cast<std::size_t>(e.v)];
-    const auto key = std::minmax(ca, cb);
-    auto it = acc.find(key);
-    if (it == acc.end()) {
-      acc.emplace(key, Best{objective, e});
+  // (objective, (u, v)) — a total order, so candidate order cannot matter.
+  std::map<std::pair<int, int>, Best> best_per_pair;
+  for (const PhaseEdge& e : candidates) {
+    const double objective = t * e.w - cover.dist_to_center[static_cast<std::size_t>(e.u)] -
+                             cover.dist_to_center[static_cast<std::size_t>(e.v)];
+    const auto key = std::minmax(cover.center_of[static_cast<std::size_t>(e.u)],
+                                 cover.center_of[static_cast<std::size_t>(e.v)]);
+    auto it = best_per_pair.find(key);
+    if (it == best_per_pair.end()) {
+      best_per_pair.emplace(key, Best{objective, e});
     } else if (objective < it->second.objective ||
                (objective == it->second.objective &&
                 std::pair(e.u, e.v) < std::pair(it->second.edge.u, it->second.edge.v))) {
       it->second = Best{objective, e};
     }
-  };
-  const auto objective_of = [&](const PhaseEdge& e) {
-    return t * e.w - cover.dist_to_center[static_cast<std::size_t>(e.u)] -
-           cover.dist_to_center[static_cast<std::size_t>(e.v)];
-  };
-  std::map<std::pair<int, int>, Best> best_per_pair;
-  if (pool != nullptr && pool->threads() > 1 && candidates.size() > 1) {
-    // Harvest: one partial-minimum map per worker over its contiguous chunk
-    // (for_each chunks statically, so each worker folds sequentially into
-    // its own slot). Commit: merge the partials in worker order.
-    std::vector<std::map<std::pair<int, int>, Best>> partial(
-        static_cast<std::size_t>(pool->threads()));
-    pool->for_each(0, static_cast<int>(candidates.size()), [&](int worker, int i) {
-      const PhaseEdge& e = candidates[static_cast<std::size_t>(i)];
-      fold(partial[static_cast<std::size_t>(worker)], e, objective_of(e));
-    });
-    for (const auto& part : partial) {
-      for (const auto& [key, b] : part) fold(best_per_pair, b.edge, b.objective);
-    }
-  } else {
-    for (const PhaseEdge& e : candidates) fold(best_per_pair, e, objective_of(e));
   }
   std::vector<PhaseEdge> selected;
   selected.reserve(best_per_pair.size());
@@ -174,8 +152,7 @@ graph::Graph redundancy_conflict_graph(const graph::Graph& h, const std::vector<
 }
 
 graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph::Graph& h,
-                                       const std::vector<PhaseEdge>& added, double t1,
-                                       runtime::WorkerPool* pool) {
+                                       const std::vector<PhaseEdge>& added, double t1) {
   const int k = static_cast<int>(added.size());
   graph::Graph j(k);
   if (k < 2) return j;
@@ -203,18 +180,15 @@ graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph
 
   // One bounded search per endpoint, kept *sparse*: only distances to other
   // endpoints survive (harvested from the touched list, so each row costs
-  // O(|ball|), not O(k) — and nothing is O(n)). The rows are independent
-  // pure functions of (h, endpoint, bound), so with a pool they are
-  // harvested in parallel; the pair sweep below reads them in the fixed
-  // edge order either way.
+  // O(|ball|), not O(k) — and nothing is O(n)).
   std::vector<std::vector<std::pair<int, double>>> rows(static_cast<std::size_t>(ne));
-  runtime::for_each_with_workspace(pool, ws, 0, ne, [&](graph::DijkstraWorkspace& wws, int r) {
-    const graph::SpView sp = wws.bounded(h, endpoints[static_cast<std::size_t>(r)], bound);
+  for (int r = 0; r < ne; ++r) {
+    const graph::SpView sp = ws.bounded(h, endpoints[static_cast<std::size_t>(r)], bound);
     for (int v : sp.touched()) {
       const int q = index_of[static_cast<std::size_t>(v)];
       if (q != -1) rows[static_cast<std::size_t>(r)].push_back({q, sp.dist(v)});
     }
-  });
+  }
 
   // Enumerate only pairs that can possibly conflict. Both §2.2.5 pairings
   // need sp(e.u, f.u) or sp(e.u, f.v) finite within the bound, so every
@@ -273,9 +247,8 @@ std::vector<int> redundant_edge_removal(
 
 std::vector<int> redundant_edge_removal(
     graph::DijkstraWorkspace& ws, const graph::Graph& h, const std::vector<PhaseEdge>& added,
-    double t1, const std::function<std::vector<int>(const graph::Graph&)>& mis,
-    runtime::WorkerPool* pool) {
-  const graph::Graph j = redundancy_conflict_graph(ws, h, added, t1, pool);
+    double t1, const std::function<std::vector<int>(const graph::Graph&)>& mis) {
+  const graph::Graph j = redundancy_conflict_graph(ws, h, added, t1);
   if (j.m() == 0) return {};
   const std::vector<int> keep = mis(j);
   std::vector<char> kept(static_cast<std::size_t>(j.n()), 0);
@@ -290,39 +263,106 @@ std::vector<int> redundant_edge_removal(
   return remove;
 }
 
+const RgMetrics& rg_metrics() {
+  static const RgMetrics m;
+  return m;
+}
+
+std::function<double(double)> weight_transform(const RelaxedGreedyOptions& opts) {
+  if (opts.weight_transform) return opts.weight_transform;
+  return [](double len) { return len; };
+}
+
+PhaseStats process_short_edges(const ubg::UbgInstance& inst, const graph::SoaPoints& pts,
+                               const std::vector<graph::Edge>& bin0,
+                               const std::function<double(double)>& transform, const Params& params,
+                               int clique_cap, graph::Graph& spanner, int* component_count) {
+  PhaseStats st;
+  st.bin = 0;
+  st.w_hi = params.alpha / inst.g.n();
+  st.edges_in_bin = static_cast<int>(bin0.size());
+  graph::Graph g0(inst.g.n());
+  for (const graph::Edge& e : bin0) g0.add_edge(e.u, e.v, e.w);
+  const auto weight = [&](int u, int v) {
+    return transform(std::max(pts.distance(u, v), 1e-12));
+  };
+  int components = 0;
+  for (const std::vector<int>& members : graph::connected_components(g0).groups()) {
+    if (members.size() < 2) continue;
+    ++components;
+    std::vector<graph::Edge> chosen;
+    if (static_cast<int>(members.size()) <= clique_cap) {
+      chosen = seq_greedy_clique(members, weight, params.t);
+    } else {
+      // Safety valve for adversarially dense components: greedy over the
+      // component-internal UBG edges (a superset of spanner needs; see
+      // options doc). Edges leaving the component belong to later bins.
+      std::vector<char> in_comp(static_cast<std::size_t>(inst.g.n()), 0);
+      for (int u : members) in_comp[static_cast<std::size_t>(u)] = 1;
+      graph::Graph local(inst.g.n());
+      for (int u : members) {
+        for (const graph::Neighbor& nb : inst.g.neighbors(u)) {
+          if (u < nb.to && in_comp[static_cast<std::size_t>(nb.to)]) {
+            local.add_edge(u, nb.to, weight(u, nb.to));
+          }
+        }
+      }
+      chosen = seq_greedy(local, params.t).edges();
+    }
+    for (const graph::Edge& e : chosen) {
+      if (spanner.add_edge(e.u, e.v, e.w)) ++st.added;
+    }
+  }
+  if (component_count != nullptr) *component_count = components;
+  return st;
+}
+
+std::vector<PhaseEdge> filter_candidates(const std::vector<graph::Edge>& bin,
+                                         const graph::SoaPoints& pts, double alpha,
+                                         const graph::Graph& gp, double theta,
+                                         bool covered_filter, PhaseStats& st,
+                                         runtime::WorkerPool* pool) {
+  enum : char { kAlready, kCovered, kCandidate };
+  std::vector<char> status(bin.size(), kCandidate);
+  std::vector<double> lens(bin.size(), 0.0);  // Euclidean length, computed once
+  const auto classify = [&](int k) {
+    const graph::Edge& e = bin[static_cast<std::size_t>(k)];
+    if (gp.has_edge(e.u, e.v)) {
+      status[static_cast<std::size_t>(k)] = kAlready;
+      return;
+    }
+    const double len = pts.distance(e.u, e.v);
+    lens[static_cast<std::size_t>(k)] = len;
+    if (covered_filter && is_covered_edge(pts, alpha, gp, {e.u, e.v, len, e.w}, theta)) {
+      status[static_cast<std::size_t>(k)] = kCovered;
+    }
+  };
+  if (pool != nullptr && pool->threads() > 1) {
+    pool->for_each(0, static_cast<int>(bin.size()), [&](int, int k) { classify(k); });
+  } else {
+    for (int k = 0; k < static_cast<int>(bin.size()); ++k) classify(k);
+  }
+  std::vector<PhaseEdge> out;
+  for (std::size_t k = 0; k < bin.size(); ++k) {
+    const graph::Edge& e = bin[k];
+    if (status[k] == kAlready) {
+      ++st.already_in_spanner;
+    } else if (status[k] == kCovered) {
+      ++st.covered;
+    } else {
+      out.push_back({e.u, e.v, lens[k], e.w});
+    }
+  }
+  st.candidates = static_cast<int>(out.size());
+  return out;
+}
+
 }  // namespace detail
 
 namespace {
 
 using detail::PhaseEdge;
-
-/// Per-phase counters (deterministic at every thread count — they mirror
-/// the serial-order PhaseStats fields) and phase spans. The span names are
-/// the declared phase schema of the relaxed family in builtin_algorithms.
-struct RgMetrics {
-  obs::MetricId edges_examined = obs::counter_id("rg.edges_examined");
-  obs::MetricId edges_already = obs::counter_id("rg.edges_already_in_spanner");
-  obs::MetricId edges_covered = obs::counter_id("rg.edges_covered");
-  obs::MetricId edges_candidate = obs::counter_id("rg.edges_candidate");
-  obs::MetricId queries = obs::counter_id("rg.queries");
-  obs::MetricId edges_added = obs::counter_id("rg.edges_added");
-  obs::MetricId edges_removed = obs::counter_id("rg.edges_removed");
-  obs::MetricId heap_pushes = obs::counter_id("rg.heap_pushes");
-  obs::MetricId heap_pops = obs::counter_id("rg.heap_pops");
-  obs::MetricId phase0 = obs::span_id("rg.phase0");
-  obs::MetricId bins_span = obs::span_id("rg.bins");
-  obs::MetricId cover_span = obs::span_id("rg.cover");
-  obs::MetricId filter_span = obs::span_id("rg.filter");
-  obs::MetricId select_span = obs::span_id("rg.select");
-  obs::MetricId cluster_graph_span = obs::span_id("rg.cluster_graph");
-  obs::MetricId queries_span = obs::span_id("rg.queries");
-  obs::MetricId redundancy_span = obs::span_id("rg.redundancy");
-};
-
-const RgMetrics& rg_metrics() {
-  static const RgMetrics m;
-  return m;
-}
+using detail::rg_metrics;
 
 /// Drain the plain heap tallies of the run workspace (and each per-worker
 /// workspace) into the rg.heap_* counters at a phase boundary.
@@ -340,69 +380,6 @@ void flush_heap_ops(graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
   obs::counter_add(rg_metrics().heap_pops, pops);
 }
 
-std::function<double(double)> make_transform(const RelaxedGreedyOptions& opts) {
-  if (opts.weight_transform) return opts.weight_transform;
-  return [](double len) { return len; };
-}
-
-/// Phase 0 (§2.1): components of G_0 are cliques (Lemma 1); span each with
-/// SEQ-GREEDY and merge. Each component's chosen edge set is a pure function
-/// of (members, weights), so with a pool the per-component SEQ-GREEDY runs
-/// are harvested in parallel (dynamically scheduled — component sizes are
-/// skewed) and the spanner edges committed in component order, bit-identical
-/// to the serial path.
-PhaseStats process_short_edges(const ubg::UbgInstance& inst, const graph::SoaPoints& pts,
-                               const std::vector<graph::Edge>& bin0,
-                               const std::function<double(double)>& transform, const Params& params,
-                               int clique_cap, graph::Graph& spanner, int* component_count,
-                               graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
-  PhaseStats st;
-  st.bin = 0;
-  st.w_hi = params.alpha / inst.g.n();
-  st.edges_in_bin = static_cast<int>(bin0.size());
-  graph::Graph g0(inst.g.n());
-  for (const graph::Edge& e : bin0) g0.add_edge(e.u, e.v, e.w);
-  const std::vector<std::vector<int>> groups = graph::connected_components(g0).groups();
-  const auto weight = [&](int u, int v) {
-    return transform(std::max(pts.distance(u, v), 1e-12));
-  };
-  std::vector<const std::vector<int>*> work;
-  for (const std::vector<int>& members : groups) {
-    if (members.size() >= 2) work.push_back(&members);
-  }
-  std::vector<std::vector<graph::Edge>> chosen(work.size());
-  runtime::scatter_commit(
-      pool, ws, static_cast<int>(work.size()),
-      [&](graph::DijkstraWorkspace&, int, int c) {
-        const std::vector<int>& members = *work[static_cast<std::size_t>(c)];
-        if (static_cast<int>(members.size()) <= clique_cap) {
-          chosen[static_cast<std::size_t>(c)] = seq_greedy_clique(members, weight, params.t);
-        } else {
-          // Safety valve for adversarially dense components: greedy over the
-          // component-internal UBG edges (a superset of spanner needs; see
-          // options doc). Edges leaving the component belong to later bins.
-          std::vector<char> in_comp(static_cast<std::size_t>(inst.g.n()), 0);
-          for (int u : members) in_comp[static_cast<std::size_t>(u)] = 1;
-          graph::Graph local(inst.g.n());
-          for (int u : members) {
-            for (const graph::Neighbor& nb : inst.g.neighbors(u)) {
-              if (u < nb.to && in_comp[static_cast<std::size_t>(nb.to)]) {
-                local.add_edge(u, nb.to, weight(u, nb.to));
-              }
-            }
-          }
-          chosen[static_cast<std::size_t>(c)] = seq_greedy(local, params.t).edges();
-        }
-      },
-      [&](int c) {
-        for (const graph::Edge& e : chosen[static_cast<std::size_t>(c)]) {
-          if (spanner.add_edge(e.u, e.v, e.w)) ++st.added;
-        }
-      });
-  if (component_count != nullptr) *component_count = static_cast<int>(work.size());
-  return st;
-}
-
 }  // namespace
 
 RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& params,
@@ -412,7 +389,7 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
     throw std::invalid_argument("relaxed_greedy: params.alpha != instance alpha");
   }
   const int n = inst.g.n();
-  const auto transform = make_transform(opts);
+  const auto transform = detail::weight_transform(opts);
 
   // Shortest-path scratch for the whole run: one workspace (caller-owned
   // when opts.workspace is set, so repeated runs reuse the same buffers) and
@@ -424,10 +401,11 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
   graph::CsrView csr;
   const graph::SoaPoints pts(inst.points);
 
-  // Worker team for the embarrassingly parallel passes: the caller's pool
-  // when provided (long-lived engines), else a run-local pool when more than
-  // one thread is requested, else the serial path (pool == nullptr). Every
-  // result is bit-identical across thread counts — see RelaxedGreedyOptions.
+  // Worker team for the parallel phases (bins, filter, queries): the
+  // caller's pool when provided (long-lived engines), else a run-local pool
+  // when more than one thread is requested, else the serial path
+  // (pool == nullptr). Every result is bit-identical across thread counts —
+  // see RelaxedGreedyOptions.
   std::optional<runtime::WorkerPool> run_pool;
   runtime::WorkerPool* pool = opts.worker_pool;
   if (pool == nullptr) {
@@ -458,22 +436,18 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
   // Phase 0.
   {
     const obs::Span span(rg_metrics().phase0);
-    result.phases.push_back(process_short_edges(inst, pts, bins[0], transform, params,
-                                                opts.phase0_clique_cap, result.spanner,
-                                                &result.phase0_components, ws, pool));
+    result.phases.push_back(detail::process_short_edges(inst, pts, bins[0], transform, params,
+                                                        opts.phase0_clique_cap, result.spanner,
+                                                        &result.phase0_components));
     obs::counter_add(rg_metrics().edges_examined, result.phases.back().edges_in_bin);
     obs::counter_add(rg_metrics().edges_added, result.phases.back().added);
   }
 
-  // §2.2.5 symmetry breaking: the deterministic pool-parallel Luby MIS, so
-  // the redundancy pass — the last serial residue of the pipeline — runs on
-  // the same worker team as everything else. The seed is a fixed constant:
-  // the sequential algorithm is a deterministic function of the instance,
-  // and any MIS of the conflict graph preserves the §2.2.5 guarantees.
+  // §2.2.5 symmetry breaking: Luby's MIS with a fixed seed. The sequential
+  // algorithm is a deterministic function of the instance, and any MIS of
+  // the conflict graph preserves the §2.2.5 guarantees.
   constexpr std::uint64_t kMisSeed = 0x10CA15FA2006ULL;
-  const auto mis_fn = [&](const graph::Graph& j) {
-    return mis::luby_mis_parallel(j, kMisSeed, nullptr, pool);
-  };
+  const auto mis_fn = [](const graph::Graph& j) { return mis::luby_mis(j, kMisSeed); };
 
   // Phases i >= 1, skipping empty bins (recomputation is from G' alone, so
   // skipping is a pure optimization).
@@ -495,63 +469,28 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
     csr.assign(result.spanner);
     const cluster::ClusterCover cover = [&] {
       const obs::Span span(rg_metrics().cover_span);
-      return cluster::sequential_cover(csr, radius, ws, pool);
+      return cluster::sequential_cover(csr, radius, ws);
     }();
     st.clusters = static_cast<int>(cover.centers.size());
 
-    // (ii) covered-edge filter + candidate selection. Each edge's status is
-    // a pure function of (inst, G'_{i-1}, edge), so the θ-cone tests run in
-    // parallel; candidates are committed in bin order.
+    // (ii) covered-edge filter + candidate selection.
     const std::vector<PhaseEdge> candidates = [&] {
       const obs::Span span(rg_metrics().filter_span);
-      enum : char { kAlready, kCovered, kCandidate };
-      std::vector<char> status(bin.size(), kCandidate);
-      std::vector<double> lens(bin.size(), 0.0);  // Euclidean length, computed once
-      const auto classify = [&](int i) {
-        const graph::Edge& e = bin[static_cast<std::size_t>(i)];
-        if (result.spanner.has_edge(e.u, e.v)) {
-          status[static_cast<std::size_t>(i)] = kAlready;
-          return;
-        }
-        const double len = pts.distance(e.u, e.v);
-        lens[static_cast<std::size_t>(i)] = len;
-        if (opts.covered_edge_filter &&
-            detail::is_covered_edge(pts, inst.config.alpha, result.spanner, {e.u, e.v, len, e.w},
-                                    params.theta)) {
-          status[static_cast<std::size_t>(i)] = kCovered;
-        }
-      };
-      if (pool != nullptr && pool->threads() > 1) {
-        pool->for_each(0, static_cast<int>(bin.size()), [&](int, int i) { classify(i); });
-      } else {
-        for (int i = 0; i < static_cast<int>(bin.size()); ++i) classify(i);
-      }
-      std::vector<PhaseEdge> out;
-      for (std::size_t i = 0; i < bin.size(); ++i) {
-        const graph::Edge& e = bin[i];
-        if (status[i] == kAlready) {
-          ++st.already_in_spanner;
-        } else if (status[i] == kCovered) {
-          ++st.covered;
-        } else {
-          out.push_back({e.u, e.v, lens[i], e.w});
-        }
-      }
-      return out;
+      return detail::filter_candidates(bin, pts, inst.config.alpha, result.spanner, params.theta,
+                                       opts.covered_edge_filter, st, pool);
     }();
-    st.candidates = static_cast<int>(candidates.size());
 
     const std::vector<PhaseEdge> queries = [&] {
       const obs::Span span(rg_metrics().select_span);
       return detail::select_query_edges(candidates, cover, params.t,
-                                        &st.max_query_edges_per_cluster, pool);
+                                        &st.max_query_edges_per_cluster);
     }();
     st.queries = static_cast<int>(queries.size());
 
     // (iii) cluster graph of G'_{i-1} (same snapshot as the cover).
     const cluster::ClusterGraph cg = [&] {
       const obs::Span span(rg_metrics().cluster_graph_span);
-      return cluster::build_cluster_graph(csr, cover, w_prev, ws, pool);
+      return cluster::build_cluster_graph(csr, cover, w_prev, ws);
     }();
     st.max_inter_degree = cg.max_inter_degree;
     st.max_inter_weight = cg.max_inter_weight;
@@ -568,7 +507,7 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
     if (opts.redundancy_removal && to_add.size() >= 2) {
       const obs::Span span(rg_metrics().redundancy_span);
       const std::vector<int> removal =
-          detail::redundant_edge_removal(ws, cg.h, to_add, params.t1, mis_fn, pool);
+          detail::redundant_edge_removal(ws, cg.h, to_add, params.t1, mis_fn);
       for (int idx : removal) {
         const PhaseEdge& e = to_add[static_cast<std::size_t>(idx)];
         result.spanner.remove_edge(e.u, e.v);
@@ -577,7 +516,7 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
     }
 
     if (obs::enabled()) {
-      const RgMetrics& m = rg_metrics();
+      const detail::RgMetrics& m = rg_metrics();
       obs::counter_add(m.edges_examined, st.edges_in_bin);
       obs::counter_add(m.edges_already, st.already_in_spanner);
       obs::counter_add(m.edges_covered, st.covered);

@@ -24,6 +24,7 @@
 #include "core/params.hpp"
 #include "graph/graph.hpp"
 #include "graph/soa_points.hpp"
+#include "obs/obs.hpp"
 #include "ubg/generator.hpp"
 
 namespace localspan::runtime {
@@ -83,9 +84,12 @@ struct RelaxedGreedyOptions {
   /// Non-owning; must outlive every relaxed_greedy call it is passed to.
   graph::DijkstraWorkspace* workspace = nullptr;
 
-  /// Worker threads for the embarrassingly parallel passes (cover ball
-  /// computation, cluster-graph center sweeps, covered-edge filtering,
-  /// H-queries, §2.2.5 redundancy endpoint balls). 0 = the process default
+  /// Worker threads for the three phases that measurably gain from a pool:
+  /// bin grouping (rg.bins), the θ-cone covered-edge filter (rg.filter) and
+  /// the H-queries (rg.queries). Every other phase — phase 0, the cover,
+  /// query selection, the cluster graph, redundancy removal and its Luby
+  /// MIS — runs serially at any thread count, because its per-item work is
+  /// too small to pay for a pool dispatch. 0 = the process default
   /// (LOCALSPAN_THREADS env, else 1). The construction is **bit-identical**
   /// at every thread count: parallel phases compute state-independent
   /// per-item results and all commits stay in the serial order
@@ -141,19 +145,67 @@ struct PhaseEdge {
 [[nodiscard]] bool is_covered_edge(const graph::SoaPoints& pts, double alpha,
                                    const graph::Graph& gp, const PhaseEdge& e, double theta);
 
+/// obs ids of the relaxed-greedy counters and phase spans, shared by both
+/// drivers. The span names are the declared phase schema of the relaxed
+/// family in api/builtin_algorithms.cpp. The counters mirror the
+/// serial-order PhaseStats fields, so they read the same at every thread
+/// count.
+struct RgMetrics {
+  obs::MetricId edges_examined = obs::counter_id("rg.edges_examined");
+  obs::MetricId edges_already = obs::counter_id("rg.edges_already_in_spanner");
+  obs::MetricId edges_covered = obs::counter_id("rg.edges_covered");
+  obs::MetricId edges_candidate = obs::counter_id("rg.edges_candidate");
+  obs::MetricId queries = obs::counter_id("rg.queries");
+  obs::MetricId edges_added = obs::counter_id("rg.edges_added");
+  obs::MetricId edges_removed = obs::counter_id("rg.edges_removed");
+  obs::MetricId heap_pushes = obs::counter_id("rg.heap_pushes");
+  obs::MetricId heap_pops = obs::counter_id("rg.heap_pops");
+  obs::MetricId phase0 = obs::span_id("rg.phase0");
+  obs::MetricId bins_span = obs::span_id("rg.bins");
+  obs::MetricId cover_span = obs::span_id("rg.cover");
+  obs::MetricId filter_span = obs::span_id("rg.filter");
+  obs::MetricId select_span = obs::span_id("rg.select");
+  obs::MetricId cluster_graph_span = obs::span_id("rg.cluster_graph");
+  obs::MetricId queries_span = obs::span_id("rg.queries");
+  obs::MetricId redundancy_span = obs::span_id("rg.redundancy");
+};
+
+[[nodiscard]] const RgMetrics& rg_metrics();
+
+/// Identity unless `opts.weight_transform` is set.
+[[nodiscard]] std::function<double(double)> weight_transform(const RelaxedGreedyOptions& opts);
+
+/// Phase 0 (§2.1, §3.1): components of G_0 (the edges of `bin0`) are
+/// cliques (Lemma 1); span each with SEQ-GREEDY under `transform` weights
+/// and add the chosen edges to `spanner`, in component order. Components
+/// above `clique_cap` nodes are spanned over their UBG edges instead (see
+/// RelaxedGreedyOptions::phase0_clique_cap). Returns the phase-0 row;
+/// `component_count` receives the number of components with >= 2 nodes.
+[[nodiscard]] PhaseStats process_short_edges(const ubg::UbgInstance& inst,
+                                             const graph::SoaPoints& pts,
+                                             const std::vector<graph::Edge>& bin0,
+                                             const std::function<double(double)>& transform,
+                                             const Params& params, int clique_cap,
+                                             graph::Graph& spanner, int* component_count);
+
+/// §2.2.2 part 1 over one bin: drop edges already in gp and, when
+/// `covered_filter` is set, θ-cone covered edges, and return the rest as
+/// candidates in bin order. Fills st.already_in_spanner, st.covered and
+/// st.candidates. Each edge's test is a pure function of (pts, gp, edge), so
+/// with a pool the tests run in parallel; the result is the same.
+[[nodiscard]] std::vector<PhaseEdge> filter_candidates(const std::vector<graph::Edge>& bin,
+                                                       const graph::SoaPoints& pts, double alpha,
+                                                       const graph::Graph& gp, double theta,
+                                                       bool covered_filter, PhaseStats& st,
+                                                       runtime::WorkerPool* pool = nullptr);
+
 /// §2.2.2 part 2: keep one query edge per cluster pair, minimizing
-/// t·w(x,y) − sp(a,x) − sp(b,y). Returns selected edges; if `per_cluster_max`
-/// is non-null it receives the Lemma 4 quantity.
-///
-/// With a pool, each worker folds its contiguous candidate chunk into a
-/// private per-cluster-pair partial minimum and the chunks are merged
-/// serially. The winner per pair is the lexicographic minimum by
-/// (objective, (u, v)) — a total order — so chunk boundaries cannot change
-/// the outcome and the selection is bit-identical at every thread count.
+/// t·w(x,y) − sp(a,x) − sp(b,y), ties broken by the smaller (u, v). Returns
+/// the selected edges ordered by cluster pair; if `per_cluster_max` is
+/// non-null it receives the Lemma 4 quantity.
 [[nodiscard]] std::vector<PhaseEdge> select_query_edges(const std::vector<PhaseEdge>& candidates,
                                                         const cluster::ClusterCover& cover,
-                                                        double t, int* per_cluster_max,
-                                                        runtime::WorkerPool* pool = nullptr);
+                                                        double t, int* per_cluster_max);
 
 /// §2.2.4: answer all queries on H; returns the edges to add (those with
 /// sp_H(x,y) > t·w(x,y)). Updates `max_hops` with the Lemma 8 quantity.
@@ -180,8 +232,7 @@ struct PhaseEdge {
 
 [[nodiscard]] std::vector<int> redundant_edge_removal(
     graph::DijkstraWorkspace& ws, const graph::Graph& h, const std::vector<PhaseEdge>& added,
-    double t1, const std::function<std::vector<int>(const graph::Graph&)>& mis,
-    runtime::WorkerPool* pool = nullptr);
+    double t1, const std::function<std::vector<int>(const graph::Graph&)>& mis);
 
 /// The conflict graph J of §2.2.5 alone (for Lemma 20 doubling-dimension
 /// experiments): node k = added[k]; edges connect mutually redundant pairs.
@@ -189,14 +240,12 @@ struct PhaseEdge {
                                                      const std::vector<PhaseEdge>& added,
                                                      double t1);
 
-/// With a pool the §2.2.5 endpoint-ball harvests (one bounded search per
-/// distinct endpoint — the dominant cost) run on the workers; the pair sweep
-/// and J construction stay sequential, so J is bit-identical to serial.
+/// Workspace-backed overload: one bounded search per distinct endpoint, kept
+/// sparse, then a pair sweep over the endpoints each ball reached.
 [[nodiscard]] graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws,
                                                      const graph::Graph& h,
                                                      const std::vector<PhaseEdge>& added,
-                                                     double t1,
-                                                     runtime::WorkerPool* pool = nullptr);
+                                                     double t1);
 
 }  // namespace detail
 

@@ -5,7 +5,6 @@
 
 #include "obs/obs.hpp"
 #include "runtime/network.hpp"
-#include "runtime/parallel.hpp"
 
 namespace localspan::mis {
 
@@ -16,9 +15,9 @@ constexpr int kJoin = 2;
 
 enum class State { kActive, kInMis, kOut };
 
-/// Mirror of the SyncNetwork round metrics, so the pool-parallel variant —
-/// which never stages a physical message — reports the same net.* shape the
-/// simulator would for the identical protocol run.
+/// Mirror of the SyncNetwork round metrics, so luby_mis — which never
+/// stages a physical message — reports the same net.* shape the simulator
+/// would for the identical protocol run.
 struct LubyNetMetrics {
   obs::MetricId rounds = obs::counter_id("net.rounds");
   obs::MetricId messages = obs::counter_id("net.messages");
@@ -49,12 +48,6 @@ double luby_priority(std::uint64_t seed, int iteration, int node) {
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   x ^= x >> 31;
   return static_cast<double>(x >> 11) * 0x1.0p-53;
-}
-
-std::vector<int> luby_mis(const graph::Graph& g, std::uint64_t seed, LubyStats* stats,
-                          runtime::RoundLedger* ledger, const std::string& section) {
-  runtime::SyncNetwork net(g, ledger, section);
-  return luby_mis_on(net, g, seed, stats);
 }
 
 std::vector<int> luby_mis_on(runtime::Network& net, const graph::Graph& g, std::uint64_t seed,
@@ -127,84 +120,60 @@ std::vector<int> luby_mis_on(runtime::Network& net, const graph::Graph& g, std::
   return out;
 }
 
-std::vector<int> luby_mis_parallel(const graph::Graph& g, std::uint64_t seed, LubyStats* stats,
-                                   runtime::WorkerPool* pool, runtime::RoundLedger* ledger,
-                                   const std::string& section) {
+std::vector<int> luby_mis(const graph::Graph& g, std::uint64_t seed, LubyStats* stats,
+                          runtime::RoundLedger* ledger, const std::string& section) {
   const int n = g.n();
   std::vector<State> state(static_cast<std::size_t>(n), State::kActive);
+  std::vector<double> value(static_cast<std::size_t>(n), 0.0);
   std::vector<char> joining(static_cast<std::size_t>(n), 0);
-  std::vector<char> retired(static_cast<std::size_t>(n), 0);
-  // scatter_commit plumbs per-worker Dijkstra workspaces; the MIS harvests
-  // need none, so the serial fallback slot stays empty (no allocation).
-  graph::DijkstraWorkspace no_ws;
   int active = n;
   int iteration = 0;
-  long long rounds = 0;
   long long messages = 0;
 
   while (active > 0) {
     ++iteration;
-    long long round1 = 0;  // marks: one message per active half-edge.
-    long long round2 = 0;  // join announcements: one per winner half-edge.
+    // Round 1: every active node broadcasts its mark (one message per
+    // incident edge); decisions read only this iteration's frozen state.
+    long long round1 = 0;
+    for (int v = 0; v < n; ++v) {
+      if (state[static_cast<std::size_t>(v)] != State::kActive) continue;
+      value[static_cast<std::size_t>(v)] = luby_priority(seed, iteration, v);
+      round1 += g.degree(v);
+    }
+    for (int v = 0; v < n; ++v) {
+      char wins = state[static_cast<std::size_t>(v)] == State::kActive ? 1 : 0;
+      if (wins) {
+        const std::pair mine(value[static_cast<std::size_t>(v)], v);
+        for (const graph::Neighbor& nb : g.neighbors(v)) {
+          if (state[static_cast<std::size_t>(nb.to)] == State::kActive &&
+              std::pair(value[static_cast<std::size_t>(nb.to)], nb.to) < mine) {
+            wins = 0;
+            break;
+          }
+        }
+      }
+      joining[static_cast<std::size_t>(v)] = wins;
+    }
 
-    // Pass 1 — decide. Each node's join bit is a pure function of the
-    // previous iteration's state and the shared priorities, harvested in
-    // parallel into a node-owned slot; the commit tallies the simulator's
-    // round-1 message charge (every active node broadcasts its mark).
-    runtime::scatter_commit(
-        pool, no_ws, n,
-        [&](graph::DijkstraWorkspace&, int, int v) {
-          if (state[static_cast<std::size_t>(v)] != State::kActive) {
-            joining[static_cast<std::size_t>(v)] = 0;
-            return;
-          }
-          const double mine = luby_priority(seed, iteration, v);
-          char wins = 1;
-          for (const graph::Neighbor& nb : g.neighbors(v)) {
-            const int z = nb.to;
-            if (state[static_cast<std::size_t>(z)] != State::kActive) continue;
-            if (std::pair(luby_priority(seed, iteration, z), z) < std::pair(mine, v)) {
-              wins = 0;
-              break;
-            }
-          }
-          joining[static_cast<std::size_t>(v)] = wins;
-        },
-        [&](int v) {
-          if (state[static_cast<std::size_t>(v)] == State::kActive) round1 += g.degree(v);
-        });
-
-    // Pass 2 — retire. A non-winner retires iff some neighbor joined this
-    // iteration (the kJoin inbox test); the commit applies both state
-    // transitions in ascending node order and tallies the round-2 charge
-    // (every winner broadcasts its announcement).
-    runtime::scatter_commit(
-        pool, no_ws, n,
-        [&](graph::DijkstraWorkspace&, int, int v) {
-          retired[static_cast<std::size_t>(v)] = 0;
-          if (state[static_cast<std::size_t>(v)] != State::kActive ||
-              joining[static_cast<std::size_t>(v)]) {
-            return;
-          }
-          for (const graph::Neighbor& nb : g.neighbors(v)) {
-            if (joining[static_cast<std::size_t>(nb.to)]) {
-              retired[static_cast<std::size_t>(v)] = 1;
-              break;
-            }
-          }
-        },
-        [&](int v) {
-          if (joining[static_cast<std::size_t>(v)]) {
-            round2 += g.degree(v);
-            state[static_cast<std::size_t>(v)] = State::kInMis;
-            --active;
-          } else if (retired[static_cast<std::size_t>(v)]) {
+    // Round 2: winners announce (one message per incident edge) and join;
+    // an active neighbor of a winner retires.
+    long long round2 = 0;
+    for (int v = 0; v < n; ++v) {
+      if (joining[static_cast<std::size_t>(v)]) {
+        round2 += g.degree(v);
+        state[static_cast<std::size_t>(v)] = State::kInMis;
+        --active;
+      } else if (state[static_cast<std::size_t>(v)] == State::kActive) {
+        for (const graph::Neighbor& nb : g.neighbors(v)) {
+          if (joining[static_cast<std::size_t>(nb.to)]) {
             state[static_cast<std::size_t>(v)] = State::kOut;
             --active;
+            break;
           }
-        });
+        }
+      }
+    }
 
-    rounds += 2;
     messages += round1 + round2;
     record_round(round1);
     record_round(round2);
@@ -216,7 +185,7 @@ std::vector<int> luby_mis_parallel(const graph::Graph& g, std::uint64_t seed, Lu
 
   if (stats != nullptr) {
     stats->iterations = iteration;
-    stats->network_rounds = rounds;
+    stats->network_rounds = 2LL * iteration;
     stats->messages = messages;
   }
   std::vector<int> out;

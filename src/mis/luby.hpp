@@ -1,7 +1,7 @@
 #pragma once
 /// \file luby.hpp
-/// Luby's randomized distributed MIS, run message-by-message on the
-/// synchronous simulator.
+/// Luby's randomized distributed MIS, with the synchronous simulator's
+/// round and message accounting.
 ///
 /// The paper invokes the Kuhn–Moscibroda–Wattenhofer O(log* n) MIS [11] on
 /// its derived bounded-growth graphs. KMW is a substantial algorithm in its
@@ -17,10 +17,6 @@
 #include "runtime/ledger.hpp"
 #include "runtime/network.hpp"
 
-namespace localspan::runtime {
-class WorkerPool;
-}
-
 namespace localspan::mis {
 
 struct LubyStats {
@@ -31,16 +27,22 @@ struct LubyStats {
 
 /// The shared deterministic priority draw: splitmix64 of the
 /// (seed, iteration, node) triple mapped to a uniform double in [0, 1).
-/// Every Luby variant — synchronous, asynchronous/reliable, and the
-/// pool-parallel harvester — consumes exactly this function, so they all
+/// Both Luby entry points below consume exactly this function, so they
 /// break symmetry with identical priorities and produce identical sets.
 [[nodiscard]] double luby_priority(std::uint64_t seed, int iteration, int node);
 
-/// Compute an MIS of g with Luby's algorithm over a SyncNetwork. Per
-/// iteration every undecided node draws a value (seeded deterministically
-/// from (seed, iteration, node)), broadcasts it, joins if it is the strict
-/// (value, id)-minimum in its undecided neighborhood, then broadcasts the
-/// decision; dominated neighbors retire. Deterministic given `seed`.
+/// Compute an MIS of g with Luby's algorithm. Per iteration every undecided
+/// node draws a value (luby_priority), broadcasts it, joins if it is the
+/// strict (value, id)-minimum in its undecided neighborhood, then
+/// broadcasts the decision; dominated neighbors retire. Deterministic given
+/// `seed`.
+///
+/// The protocol runs as two plain passes per iteration over frozen state
+/// rather than message by message: it stages no packets, yet it reports
+/// what a `runtime::SyncNetwork` run of the same protocol would — the set,
+/// `stats` (2 rounds per iteration; active-degree messages in round one,
+/// winner-degree in round two), the ledger charges and the obs `net.*`
+/// metrics are all identical to `luby_mis_on(SyncNetwork&, ...)`.
 ///
 /// \param ledger optional ledger charged under section `section`.
 [[nodiscard]] std::vector<int> luby_mis(const graph::Graph& g, std::uint64_t seed,
@@ -48,33 +50,15 @@ struct LubyStats {
                                         runtime::RoundLedger* ledger = nullptr,
                                         const std::string& section = "mis");
 
-/// Transport-generic Luby: the same protocol over any `runtime::Network`
-/// implementation. `net` must be freshly constructed over topology `g`.
-/// Because every decision depends only on round-boundary inbox contents and
-/// the deterministic (seed, iteration, node) value draws, the MIS is
-/// bit-identical across transports that deliver the same round semantics —
-/// the property `ReliableNetwork` provides over the adversarial simulator.
+/// Transport-generic Luby: the same protocol, message by message, over any
+/// `runtime::Network` implementation. `net` must be freshly constructed
+/// over topology `g`. Because every decision depends only on round-boundary
+/// inbox contents and the deterministic (seed, iteration, node) value
+/// draws, the MIS is bit-identical across transports that deliver the same
+/// round semantics — the property `ReliableNetwork` provides over the
+/// adversarial simulator. Over a `SyncNetwork` it is the message-level
+/// reference for luby_mis.
 [[nodiscard]] std::vector<int> luby_mis_on(runtime::Network& net, const graph::Graph& g,
                                            std::uint64_t seed, LubyStats* stats = nullptr);
-
-/// Pool-parallel Luby: the same protocol executed as two harvest/commit
-/// passes per iteration on the deterministic runtime instead of message by
-/// message on a simulator. Pass 1 harvests, per node, the frozen-state
-/// join decision (strict (priority, id)-minimum among still-active
-/// neighbors, priorities from luby_priority); pass 2 harvests which nodes a
-/// winner retires. Both passes read only the previous iteration's state and
-/// commit serially in node order via runtime::scatter_commit, so the result
-/// — the set AND the reported stats, which mirror the simulator's message
-/// accounting analytically (2 rounds per iteration; active-degree messages
-/// in round one, winner-degree in round two) — is **bit-identical to
-/// luby_mis(g, seed)** at every thread count. `pool` may be null (serial).
-///
-/// \param ledger optional ledger charged under section `section` with the
-///        same aggregate rounds/messages the synchronous transport charges.
-[[nodiscard]] std::vector<int> luby_mis_parallel(const graph::Graph& g, std::uint64_t seed,
-                                                 LubyStats* stats = nullptr,
-                                                 runtime::WorkerPool* pool = nullptr,
-                                                 runtime::RoundLedger* ledger = nullptr,
-                                                 const std::string& section = "mis");
 
 }  // namespace localspan::mis

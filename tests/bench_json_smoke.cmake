@@ -51,12 +51,12 @@ endif()
 
 message(STATUS "bench_json_smoke: BENCH_${BENCH_ID}.json valid (${n_tables} tables, ${n_cols}x${n_rows})")
 
-# E15 serial-residue guard: the relaxed-greedy pipeline is fully pool-backed
-# — every rg.* phase span the run records must be one of the declared
-# harvest/commit phases, and all of them must have fired. A new rg.* span
-# outside this set means someone added a serial phase to the hot path.
+# E15 phase-schema guard: every rg.* phase span the run records must be one
+# of the declared relaxed-greedy phases, and all of them must have fired. A
+# new rg.* span outside this set means a phase was added to the pipeline
+# without being declared (kRelaxedPhaseSchema in api/builtin_algorithms.cpp).
 if(BENCH_ID STREQUAL "E15")
-  set(parallel_spans "rg.phase0" "rg.bins" "rg.cover" "rg.filter" "rg.select"
+  set(declared_spans "rg.phase0" "rg.bins" "rg.cover" "rg.filter" "rg.select"
     "rg.cluster_graph" "rg.queries" "rg.redundancy")
   string(JSON n_spans ERROR_VARIABLE sp_err LENGTH "${payload}" "obs" "spans")
   if(NOT sp_err STREQUAL "NOTFOUND")
@@ -69,23 +69,23 @@ if(BENCH_ID STREQUAL "E15")
     if(NOT span_name MATCHES "^rg\\.")
       continue()
     endif()
-    list(FIND parallel_spans "${span_name}" par_idx)
-    if(par_idx EQUAL -1)
-      message(FATAL_ERROR "E15 obs block records serial-residue phase '${span_name}' — "
-        "every rg.* phase must run on the worker pool (harvest/commit)")
+    list(FIND declared_spans "${span_name}" declared_idx)
+    if(declared_idx EQUAL -1)
+      message(FATAL_ERROR "E15 obs block records undeclared phase '${span_name}' — "
+        "every rg.* phase must be part of the declared relaxed-greedy phase schema")
     endif()
     string(JSON span_count GET "${payload}" "obs" "spans" "${span_name}" "count")
     if(span_count GREATER 0)
       list(APPEND rg_seen "${span_name}")
     endif()
   endforeach()
-  list(LENGTH parallel_spans n_expected)
+  list(LENGTH declared_spans n_expected)
   list(LENGTH rg_seen n_rg)
   if(NOT n_rg EQUAL n_expected)
-    message(FATAL_ERROR "E15 obs block fired ${n_rg}/${n_expected} pool-backed rg.* phases "
-      "(${rg_seen}) — a declared parallel phase went silent")
+    message(FATAL_ERROR "E15 obs block fired ${n_rg}/${n_expected} declared rg.* phases "
+      "(${rg_seen}) — a declared phase went silent")
   endif()
-  message(STATUS "bench_json_smoke: E15 rg.* spans all pool-backed (${n_rg}/${n_expected})")
+  message(STATUS "bench_json_smoke: E15 rg.* spans match the phase schema (${n_rg}/${n_expected})")
 endif()
 
 if(DEFINED COLLECT)

@@ -212,18 +212,20 @@ TEST(Registry, ObsPhaseBreakdownMatchesDeclaredSchema) {
     EXPECT_TRUE(has_construct) << name << " is missing the construct phase";
   }
 
-  // On a scenario with nonempty weight bins the relaxed pipeline must fire
+  // On a scenario with nonempty weight bins both relaxed drivers must fire
   // EVERY declared phase — a declared-but-dead phase name fails here.
-  const api::BuildResult relaxed =
-      api::registry().build("relaxed", api::BuildRequest{inst, params, {}}, /*measure=*/false);
-  ASSERT_GT(relaxed.phases.size(), 1u)
-      << "scenario has no nonempty bins; pick one that exercises the pipeline";
-  const std::vector<std::string>& schema = api::registry().at("relaxed").info().phases;
-  ASSERT_FALSE(schema.empty());
-  for (const std::string& phase : schema) {
-    const bool fired = std::any_of(relaxed.phase_breakdown.begin(), relaxed.phase_breakdown.end(),
-                                   [&](const api::PhaseCost& pc) { return pc.name == phase; });
-    EXPECT_TRUE(fired) << "declared phase '" << phase << "' never fired";
+  for (const char* name : {"relaxed", "relaxed-dist"}) {
+    const api::BuildResult res =
+        api::registry().build(name, api::BuildRequest{inst, params, {}}, /*measure=*/false);
+    ASSERT_GT(res.phases.size(), 1u)
+        << "scenario has no nonempty bins; pick one that exercises the pipeline";
+    const std::vector<std::string>& schema = api::registry().at(name).info().phases;
+    ASSERT_FALSE(schema.empty()) << name;
+    for (const std::string& phase : schema) {
+      const bool fired = std::any_of(res.phase_breakdown.begin(), res.phase_breakdown.end(),
+                                     [&](const api::PhaseCost& pc) { return pc.name == phase; });
+      EXPECT_TRUE(fired) << name << ": declared phase '" << phase << "' never fired";
+    }
   }
 }
 

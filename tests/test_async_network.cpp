@@ -371,7 +371,8 @@ TEST_P(AsyncMisFaultMatrix, MisBitIdenticalToSync) {
   const auto inst = sc.make();
 
   mis::LubyStats sync_stats;
-  const std::vector<int> sync_mis = mis::luby_mis(inst.g, sc.seed + 77, &sync_stats);
+  rt::SyncNetwork sync_net(inst.g, nullptr, "mis");
+  const std::vector<int> sync_mis = mis::luby_mis_on(sync_net, inst.g, sc.seed + 77, &sync_stats);
 
   rt::AdversaryConfig adv = preset.cfg;
   adv.seed = sc.seed * 1000003ULL + static_cast<std::uint64_t>(preset_idx);

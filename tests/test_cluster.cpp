@@ -107,7 +107,7 @@ TEST_P(MisCoverMatrix, MatchesDenseReferenceBitForBit) {
   const ub::UbgInstance inst = GetParam().make();
   const gr::CsrView csr(inst.g);
   gr::DijkstraWorkspace ws;
-  const MisFn luby = [](const gr::Graph& j) { return localspan::mis::luby_mis_parallel(j, 7); };
+  const MisFn luby = [](const gr::Graph& j) { return localspan::mis::luby_mis(j, 7); };
   for (const double radius : {0.0, 0.15, 1.5}) {
     for (const MisFn& mis : {MisFn(greedy_mis), luby}) {
       const cl::ClusterCover want = dense_mis_cover(inst.g, radius, mis);

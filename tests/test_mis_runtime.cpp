@@ -1,20 +1,25 @@
-// Tests for the MIS algorithms (greedy + Luby-on-simulator) and the
-// synchronous network runtime (§1.1 model, §3 substrate).
+// Tests for the MIS algorithms (greedy + Luby, analytic and on the
+// simulator) and the synchronous network runtime (§1.1 model, §3 substrate).
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <optional>
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "mis/luby.hpp"
 #include "mis/mis.hpp"
+#include "obs/obs.hpp"
 #include "runtime/ledger.hpp"
 #include "runtime/network.hpp"
-#include "runtime/parallel.hpp"
+#include "scenario_matrix.hpp"
 
 namespace gr = localspan::graph;
 namespace ms = localspan::mis;
+namespace obs = localspan::obs;
 namespace rt = localspan::runtime;
+namespace ti = localspan::testinfra;
 
 namespace {
 
@@ -94,6 +99,7 @@ TEST(Luby, HandlesEdgelessAndEmptyGraphs) {
   ms::LubyStats stats;
   EXPECT_EQ(ms::luby_mis(gr::Graph(6), 1, &stats).size(), 6u);
   EXPECT_EQ(stats.iterations, 1);
+  EXPECT_EQ(stats.messages, 0);
   EXPECT_TRUE(ms::luby_mis(gr::Graph(0), 1).empty());
 }
 
@@ -107,38 +113,88 @@ TEST(Luby, ChargesLedger) {
 }
 
 // ---------------------------------------------------------------------------
-// Pool-parallel Luby: the harvest/commit variant must reproduce the
-// simulator-driven run exactly — set, stats, and ledger charges — at every
-// thread count, because both consume mis::luby_priority and the parallel
-// passes read only frozen previous-iteration state.
+// luby_mis runs the protocol as plain passes with analytic accounting; the
+// message-level reference is luby_mis_on over a SyncNetwork. Both must agree
+// on the set, the stats, the ledger charges and the obs net.* metrics,
+// because both consume mis::luby_priority and decide on frozen state.
 // ---------------------------------------------------------------------------
 
-TEST(LubyParallel, MatchesSimulatorSetStatsAndLedger) {
-  for (std::uint64_t seed : {1u, 7u, 42u}) {
-    const gr::Graph g = random_graph(150, 0.06, seed);
-    ms::LubyStats net_stats;
-    rt::RoundLedger net_ledger;
-    const auto expected = ms::luby_mis(g, seed, &net_stats, &net_ledger, "mis");
-    for (int threads : {0, 2, 4}) {  // 0 = serial fallback, no pool
-      std::optional<rt::WorkerPool> pool;
-      if (threads > 0) pool.emplace(threads);
-      ms::LubyStats stats;
-      rt::RoundLedger ledger;
-      const auto got = ms::luby_mis_parallel(g, seed, &stats,
-                                             pool ? &*pool : nullptr, &ledger, "mis");
-      EXPECT_EQ(expected, got) << "seed " << seed << " threads " << threads;
-      EXPECT_EQ(net_stats.iterations, stats.iterations);
-      EXPECT_EQ(net_stats.network_rounds, stats.network_rounds);
-      EXPECT_EQ(net_stats.messages, stats.messages);
-      EXPECT_EQ(net_ledger.rounds(), ledger.rounds());
-      EXPECT_EQ(net_ledger.messages(), ledger.messages());
-      EXPECT_EQ(net_ledger.rounds_by_section().at("mis"),
-                ledger.rounds_by_section().at("mis"));
-    }
+namespace {
+
+struct LubyRun {
+  std::vector<int> set;
+  ms::LubyStats stats;
+  rt::RoundLedger ledger;
+  /// The net.* obs metrics the run emitted, histograms flattened to
+  /// name.count / .sum / .max / .p50 / .p99.
+  std::vector<std::pair<std::string, double>> net_metrics;
+};
+
+template <typename Run>
+LubyRun observed(Run&& run) {
+  LubyRun out;
+  obs::reset();
+  obs::set_enabled(true);
+  out.set = run(out.stats, out.ledger);
+  obs::set_enabled(false);
+  const obs::Snapshot snap = obs::snapshot();
+  obs::reset();
+  const auto is_net = [](const std::string& name) { return name.rfind("net.", 0) == 0; };
+  for (const auto& [name, value] : snap.counters) {
+    if (is_net(name)) out.net_metrics.emplace_back(name, static_cast<double>(value));
   }
+  for (const auto& [name, h] : snap.histograms) {
+    if (!is_net(name)) continue;
+    out.net_metrics.emplace_back(name + ".count", static_cast<double>(h.count));
+    out.net_metrics.emplace_back(name + ".sum", static_cast<double>(h.sum));
+    out.net_metrics.emplace_back(name + ".max", static_cast<double>(h.max));
+    out.net_metrics.emplace_back(name + ".p50", h.p50);
+    out.net_metrics.emplace_back(name + ".p99", h.p99);
+  }
+  return out;
 }
 
-TEST(LubyParallel, SharesThePriorityDrawWithTheSimulator) {
+void expect_luby_matches_simulator(const gr::Graph& g, std::uint64_t seed,
+                                   const std::string& label) {
+  const LubyRun want = observed([&](ms::LubyStats& stats, rt::RoundLedger& ledger) {
+    rt::SyncNetwork net(g, &ledger, "mis");
+    return ms::luby_mis_on(net, g, seed, &stats);
+  });
+  const LubyRun got = observed([&](ms::LubyStats& stats, rt::RoundLedger& ledger) {
+    return ms::luby_mis(g, seed, &stats, &ledger, "mis");
+  });
+  EXPECT_EQ(want.set, got.set) << label;
+  EXPECT_EQ(want.stats.iterations, got.stats.iterations) << label;
+  EXPECT_EQ(want.stats.network_rounds, got.stats.network_rounds) << label;
+  EXPECT_EQ(want.stats.messages, got.stats.messages) << label;
+  EXPECT_EQ(want.ledger.rounds(), got.ledger.rounds()) << label;
+  EXPECT_EQ(want.ledger.messages(), got.ledger.messages()) << label;
+  EXPECT_EQ(want.ledger.rounds_by_section(), got.ledger.rounds_by_section()) << label;
+  EXPECT_EQ(want.net_metrics, got.net_metrics) << label;
+  EXPECT_FALSE(got.net_metrics.empty()) << label;
+}
+
+}  // namespace
+
+TEST(LubySimulatorParity, MatchesSetStatsLedgerAndNetMetrics) {
+  for (std::uint64_t seed : {1u, 7u, 42u}) {
+    expect_luby_matches_simulator(random_graph(150, 0.06, seed), seed,
+                                  "random seed " + std::to_string(seed));
+  }
+  expect_luby_matches_simulator(gr::Graph(6), 1, "edgeless");
+  expect_luby_matches_simulator(gr::Graph(0), 1, "empty");
+}
+
+class LubySimulatorParityMatrix : public ::testing::TestWithParam<ti::Scenario> {};
+
+TEST_P(LubySimulatorParityMatrix, MatchesOnUnitBallGraphs) {
+  expect_luby_matches_simulator(GetParam().make().g, 41, GetParam().name());
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, LubySimulatorParityMatrix,
+                         ::testing::ValuesIn(ti::standard_matrix()), ti::ScenarioName());
+
+TEST(LubySimulatorParity, SharesThePriorityDrawWithTheSimulator) {
   // The symmetry-breaking draw is one shared helper; spot-check determinism
   // and range so a drive-by refactor of either consumer cannot fork it.
   for (int it : {1, 2, 9}) {
@@ -152,14 +208,6 @@ TEST(LubyParallel, SharesThePriorityDrawWithTheSimulator) {
   EXPECT_NE(ms::luby_priority(77, 1, 0), ms::luby_priority(78, 1, 0));
   EXPECT_NE(ms::luby_priority(77, 1, 0), ms::luby_priority(77, 2, 0));
   EXPECT_NE(ms::luby_priority(77, 1, 0), ms::luby_priority(77, 1, 1));
-}
-
-TEST(LubyParallel, HandlesEdgelessAndEmptyGraphs) {
-  ms::LubyStats stats;
-  EXPECT_EQ(ms::luby_mis_parallel(gr::Graph(6), 1, &stats).size(), 6u);
-  EXPECT_EQ(stats.iterations, 1);
-  EXPECT_EQ(stats.messages, 0);
-  EXPECT_TRUE(ms::luby_mis_parallel(gr::Graph(0), 1).empty());
 }
 
 TEST(Ledger, AccumulatesPerSection) {

@@ -1,8 +1,8 @@
 /// Tests for the deterministic parallel runtime (runtime/parallel.hpp) and
-/// the bit-identical-at-every-thread-count contract of the retrofitted hot
+/// the bit-identical-at-every-thread-count contract of the parallel hot
 /// loops: ThreadPool/WorkerPool semantics, unit-level equivalence of the
-/// parallelized passes (covers, cluster graphs, metrics, fault-tolerant
-/// greedy), the registry-level determinism sweep for every algorithm that
+/// parallelized passes (bin grouping, metrics, fault-tolerant greedy), the
+/// registry-level determinism sweep for every algorithm that
 /// declares a `threads` option, dynamic-engine determinism under churn, and
 /// the counting-allocator steady-state proof re-run at threads=4.
 #include <gtest/gtest.h>
@@ -15,8 +15,6 @@
 #include <vector>
 
 #include "api/spanner_algorithm.hpp"
-#include "cluster/cluster_graph.hpp"
-#include "cluster/cover.hpp"
 #include "core/params.hpp"
 #include "core/relaxed_greedy.hpp"
 #include "dynamic/churn.hpp"
@@ -25,13 +23,11 @@
 #include "graph/metrics.hpp"
 #include "graph/mst.hpp"
 #include "graph/sp_workspace.hpp"
-#include "mis/luby.hpp"
 #include "runtime/parallel.hpp"
 #include "scenario_matrix.hpp"
 
 namespace rt = localspan::runtime;
 namespace gr = localspan::graph;
-namespace cl = localspan::cluster;
 using localspan::testinfra::Scenario;
 using localspan::testinfra::ScenarioName;
 
@@ -83,15 +79,6 @@ std::vector<int> determinism_thread_counts() {
   std::sort(counts.begin(), counts.end());
   counts.erase(std::unique(counts.begin(), counts.end()), counts.end());
   return counts;
-}
-
-void expect_same_cover(const cl::ClusterCover& a, const cl::ClusterCover& b) {
-  EXPECT_EQ(a.centers, b.centers);
-  EXPECT_EQ(a.center_of, b.center_of);
-  ASSERT_EQ(a.dist_to_center.size(), b.dist_to_center.size());
-  for (std::size_t i = 0; i < a.dist_to_center.size(); ++i) {
-    EXPECT_EQ(a.dist_to_center[i], b.dist_to_center[i]) << "vertex " << i;  // bitwise
-  }
 }
 
 }  // namespace
@@ -201,41 +188,6 @@ TEST(ThreadPool, WarmForEachAllocatesNothing) {
 
 class ParallelMatrixTest : public ::testing::TestWithParam<Scenario> {};
 
-TEST_P(ParallelMatrixTest, CoverMatchesSerialBitForBit) {
-  const localspan::ubg::UbgInstance inst = GetParam().make();
-  const gr::CsrView csr(inst.g);
-  gr::DijkstraWorkspace ws;
-  for (const double radius : {0.15, 0.5, 2.0}) {
-    const cl::ClusterCover serial = cl::sequential_cover(csr, radius, ws);
-    for (int threads : determinism_thread_counts()) {
-      if (threads == 1) continue;
-      rt::WorkerPool pool(threads);
-      const cl::ClusterCover parallel = cl::sequential_cover(csr, radius, ws, &pool);
-      expect_same_cover(serial, parallel);
-    }
-  }
-}
-
-TEST_P(ParallelMatrixTest, ClusterGraphMatchesSerialBitForBit) {
-  const localspan::ubg::UbgInstance inst = GetParam().make();
-  const gr::CsrView csr(inst.g);
-  gr::DijkstraWorkspace ws;
-  const double radius = 0.3;
-  const double w_prev = 0.25;
-  const cl::ClusterCover cover = cl::sequential_cover(csr, radius, ws);
-  const cl::ClusterGraph serial = cl::build_cluster_graph(csr, cover, w_prev, ws);
-  for (int threads : determinism_thread_counts()) {
-    if (threads == 1) continue;
-    rt::WorkerPool pool(threads);
-    const cl::ClusterGraph parallel = cl::build_cluster_graph(csr, cover, w_prev, ws, &pool);
-    EXPECT_EQ(serial.h, parallel.h);
-    EXPECT_EQ(serial.intra_edges, parallel.intra_edges);
-    EXPECT_EQ(serial.inter_edges, parallel.inter_edges);
-    EXPECT_EQ(serial.max_inter_degree, parallel.max_inter_degree);
-    EXPECT_EQ(serial.max_inter_weight, parallel.max_inter_weight);  // bitwise
-  }
-}
-
 TEST_P(ParallelMatrixTest, StretchMetricsMatchSerialBitForBit) {
   const localspan::ubg::UbgInstance inst = GetParam().make();
   const gr::Graph mst = localspan::graph::minimum_spanning_forest(inst.g);
@@ -249,30 +201,6 @@ TEST_P(ParallelMatrixTest, StretchMetricsMatchSerialBitForBit) {
   rt::WorkerPool pool(3);
   EXPECT_EQ(serial_edge, gr::max_edge_stretch(inst.g, mst, 64.0, 0, &pool));
   EXPECT_EQ(serial_pair, gr::sampled_pair_stretch(inst.g, mst, 200, 11, 0, &pool));
-}
-
-TEST_P(ParallelMatrixTest, LubyMisMatchesSyncSimulatorAtEveryThreadCount) {
-  const localspan::ubg::UbgInstance inst = GetParam().make();
-  const std::uint64_t seed = 41;
-  localspan::mis::LubyStats serial_stats;
-  const std::vector<int> serial = localspan::mis::luby_mis(inst.g, seed, &serial_stats);
-  // The pool-parallel harvester must reproduce both the set and the
-  // simulator's analytic round/message accounting, at every thread count
-  // including the pool-free serial fallback.
-  localspan::mis::LubyStats fallback_stats;
-  EXPECT_EQ(serial, localspan::mis::luby_mis_parallel(inst.g, seed, &fallback_stats));
-  EXPECT_EQ(serial_stats.iterations, fallback_stats.iterations);
-  EXPECT_EQ(serial_stats.network_rounds, fallback_stats.network_rounds);
-  EXPECT_EQ(serial_stats.messages, fallback_stats.messages);
-  for (int threads : {2, 4}) {
-    rt::WorkerPool pool(threads);
-    localspan::mis::LubyStats stats;
-    EXPECT_EQ(serial, localspan::mis::luby_mis_parallel(inst.g, seed, &stats, &pool))
-        << threads << " threads";
-    EXPECT_EQ(serial_stats.iterations, stats.iterations);
-    EXPECT_EQ(serial_stats.network_rounds, stats.network_rounds);
-    EXPECT_EQ(serial_stats.messages, stats.messages);
-  }
 }
 
 TEST_P(ParallelMatrixTest, BinGroupingMatchesSerialBitForBit) {
@@ -294,33 +222,6 @@ TEST_P(ParallelMatrixTest, BinGroupingMatchesSerialBitForBit) {
         EXPECT_EQ(serial[b][k].v, parallel[b][k].v);
         EXPECT_EQ(serial[b][k].w, parallel[b][k].w);  // bitwise
       }
-    }
-  }
-}
-
-TEST_P(ParallelMatrixTest, QuerySelectionMatchesSerialBitForBit) {
-  namespace cd = localspan::core::detail;
-  const localspan::ubg::UbgInstance inst = GetParam().make();
-  const gr::CsrView csr(inst.g);
-  gr::DijkstraWorkspace ws;
-  const cl::ClusterCover cover = cl::sequential_cover(csr, 0.3, ws);
-  std::vector<cd::PhaseEdge> candidates;
-  for (const gr::Edge& e : inst.g.edges()) candidates.push_back({e.u, e.v, e.w, e.w});
-  int serial_max = 0;
-  const std::vector<cd::PhaseEdge> serial =
-      cd::select_query_edges(candidates, cover, 1.5, &serial_max);
-  for (int threads : {2, 4}) {
-    rt::WorkerPool pool(threads);
-    int parallel_max = 0;
-    const std::vector<cd::PhaseEdge> parallel =
-        cd::select_query_edges(candidates, cover, 1.5, &parallel_max, &pool);
-    EXPECT_EQ(serial_max, parallel_max) << threads << " threads";
-    ASSERT_EQ(serial.size(), parallel.size()) << threads << " threads";
-    for (std::size_t k = 0; k < serial.size(); ++k) {
-      EXPECT_EQ(serial[k].u, parallel[k].u);
-      EXPECT_EQ(serial[k].v, parallel[k].v);
-      EXPECT_EQ(serial[k].len, parallel[k].len);  // bitwise
-      EXPECT_EQ(serial[k].w, parallel[k].w);      // bitwise
     }
   }
 }

@@ -10,6 +10,9 @@
 #                 "verdict": "passed"}, ... ],
 #     "benches": [ <BENCH_E1.json payload>, ... ] }   # sorted by filename
 #
+# Gates with a verdict: thread_scaling_speedup (E12, E15: the best parallel
+# row >= 1.2x serial), no_slower_than_serial (E12: every row whose thread
+# count fits in meta.nproc >= 0.9x serial) and oracle_speedup (E16).
 # Every speedup gate records a machine-readable verdict in "gates":
 # "passed", or the reason it could not run — "skipped_1core" (fewer than 4
 # cores at bench time), "skipped_quick" (quick-mode problem sizes),
@@ -61,11 +64,37 @@ set(GATES_JSON "")
 # table shaped (<size>, threads, <time>, speedup) — column 1 named "threads",
 # last column "speedup" — with every row carrying threads >= 1 and a positive
 # decimal speedup. Quick-mode artifacts emit the table too, so this check is
-# unconditional for the benches that declare it.
+# unconditional for the benches that declare it. Besides recording its own
+# gate, it leaves two results in the caller's scope for further gates on the
+# same table: SCALING_SKIP (empty when the speedup gates apply, else the
+# skip verdict) and SCALING_MIN_US (the lowest speedup, in micro-units, over
+# the rows whose thread count fits in meta.nproc).
 function(check_thread_scaling payload artifact)
+  string(JSON nproc ERROR_VARIABLE nproc_err GET "${payload}" "meta" "nproc")
+  string(JSON is_quick ERROR_VARIABLE quick_err GET "${payload}" "meta" "quick")
+  # On a machine with real parallelism the parallel rows must hold up
+  # against serial. On fewer than 4 cores they cannot win (a 1-core
+  # container runs every thread count at the same speed minus scheduling
+  # overhead), so the gates are skipped — loudly, never silently — keyed on
+  # the nproc the bench recorded at run time.
+  set(skip "")
+  if(NOT nproc_err STREQUAL "NOTFOUND")
+    set(skip "skipped_no_nproc")
+    message(WARNING "collect_bench: ${artifact} meta lacks nproc — skipping the "
+      "thread-scaling speedup gates (verdict skipped_no_nproc)")
+  elseif(quick_err STREQUAL "NOTFOUND" AND is_quick STREQUAL "yes")
+    set(skip "skipped_quick")
+    message(WARNING "collect_bench: ${artifact} is a quick-mode artifact (problem sizes too "
+      "small to scale) — skipping the thread-scaling speedup gates (verdict skipped_quick)")
+  elseif(nproc LESS 4)
+    set(skip "skipped_1core")
+    message(WARNING "collect_bench: ${artifact} ran on ${nproc} core(s) (< 4) — skipping the "
+      "thread-scaling speedup gates (verdict skipped_1core)")
+  endif()
   string(JSON n_tables LENGTH "${payload}" "tables")
   math(EXPR last_table "${n_tables} - 1")
   set(found FALSE)
+  set(min_speedup_us "")
   foreach(t_idx RANGE ${last_table})
     string(JSON n_cols LENGTH "${payload}" "tables" ${t_idx} "columns")
     if(n_cols LESS 3)
@@ -99,27 +128,16 @@ function(check_thread_scaling payload artifact)
       if(speedup_us GREATER max_speedup_us)
         set(max_speedup_us "${speedup_us}")
       endif()
+      if(skip STREQUAL "" AND NOT threads_cell GREATER nproc)
+        if(min_speedup_us STREQUAL "" OR speedup_us LESS min_speedup_us)
+          set(min_speedup_us "${speedup_us}")
+        endif()
+      endif()
     endforeach()
     message(STATUS "collect_bench: ${artifact} thread-scaling table valid (${n_rows} rows)")
-    # Speedup gate: on a machine with real parallelism, the best parallel
-    # point must actually beat serial. On fewer than 4 cores the parallel
-    # rows cannot win (a 1-core container runs every thread count at the
-    # same speed minus scheduling overhead), so the gate is skipped — loudly,
-    # never silently — keyed on the nproc the bench recorded at run time.
-    string(JSON nproc ERROR_VARIABLE nproc_err GET "${payload}" "meta" "nproc")
-    string(JSON is_quick ERROR_VARIABLE quick_err GET "${payload}" "meta" "quick")
-    if(NOT nproc_err STREQUAL "NOTFOUND")
-      record_gate("${artifact}" "thread_scaling_speedup" "skipped_no_nproc")
-      message(WARNING "collect_bench: ${artifact} meta lacks nproc — skipping the "
-        "thread-scaling speedup gate (verdict skipped_no_nproc)")
-    elseif(quick_err STREQUAL "NOTFOUND" AND is_quick STREQUAL "yes")
-      record_gate("${artifact}" "thread_scaling_speedup" "skipped_quick")
-      message(WARNING "collect_bench: ${artifact} is a quick-mode artifact (problem sizes too "
-        "small to scale) — skipping the thread-scaling speedup gate (verdict skipped_quick)")
-    elseif(nproc LESS 4)
-      record_gate("${artifact}" "thread_scaling_speedup" "skipped_1core")
-      message(WARNING "collect_bench: ${artifact} ran on ${nproc} core(s) (< 4) — skipping the "
-        "thread-scaling speedup gate (verdict skipped_1core)")
+    # Speedup gate: the best parallel point must actually beat serial.
+    if(NOT skip STREQUAL "")
+      record_gate("${artifact}" "thread_scaling_speedup" "${skip}")
     elseif(max_speedup_us LESS 1200000)
       message(FATAL_ERROR "collect_bench: ${artifact} best thread-scaling speedup is "
         "${max_speedup_us}/1000000 on ${nproc} cores — expected >= 1.2x over serial")
@@ -134,6 +152,8 @@ function(check_thread_scaling payload artifact)
       "(column 1 'threads', last column 'speedup')")
   endif()
   set(GATES_JSON "${GATES_JSON}" PARENT_SCOPE)
+  set(SCALING_SKIP "${skip}" PARENT_SCOPE)
+  set(SCALING_MIN_US "${min_speedup_us}" PARENT_SCOPE)
 endfunction()
 if(NOT DEFINED OUT)
   set(OUT "${DIR}/BENCH_SUMMARY.json")
@@ -197,6 +217,19 @@ foreach(artifact IN LISTS artifacts)
   # construction scaling table (threads/speedup columns).
   if(id STREQUAL "E12")
     check_thread_scaling("${payload}" "E12")
+    # No-slowdown gate: a thread count the host can actually run must not
+    # make the build slower. Every row with threads <= meta.nproc has to
+    # reach 0.9x of serial (the margin absorbs timing noise).
+    if(NOT SCALING_SKIP STREQUAL "")
+      record_gate("E12" "no_slower_than_serial" "${SCALING_SKIP}")
+    elseif(SCALING_MIN_US LESS 900000)
+      message(FATAL_ERROR "collect_bench: E12 has a row with threads <= nproc at "
+        "${SCALING_MIN_US}/1000000 of serial speed — expected >= 0.9x")
+    else()
+      record_gate("E12" "no_slower_than_serial" "passed")
+      message(STATUS "collect_bench: E12 no-slowdown gate passed "
+        "(slowest row ${SCALING_MIN_US}/1000000 of serial)")
+    endif()
   endif()
   # E15 is the dynamic-churn bench: its artifact must carry the workspace
   # perf fields (alloc-free steady state in meta, the certify-scope column,
