@@ -2,19 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
-#include <stdexcept>
+#include <utility>
 
-#include "graph/soa_points.hpp"
 #include "mis/luby.hpp"
-#include "obs/obs.hpp"
-#include "runtime/parallel.hpp"
 
 namespace localspan::core {
 
 namespace {
-
-using detail::PhaseEdge;
 
 /// Hops needed in G to explore a Euclidean-scale radius L: on any shortest
 /// path, vertices two hops apart are > α apart (else the direct edge would
@@ -28,66 +22,16 @@ long long hops_for(double length, double alpha) {
 DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const Params& params,
                                              const RelaxedGreedyOptions& opts, std::uint64_t seed,
                                              const NetOptions& net_opts) {
-  params.validate();
   if (net_opts.mode == NetMode::kAsync) {
     net_opts.adversary.validate();
     net_opts.reliable.validate();
   }
-  if (std::abs(params.alpha - inst.config.alpha) > 1e-12) {
-    throw std::invalid_argument("distributed_relaxed_greedy: params.alpha != instance alpha");
-  }
   const int n = inst.g.n();
   const long long m_edges = inst.g.m();
-  const auto transform = detail::weight_transform(opts);
   const int lstar = log_star(static_cast<double>(std::max(2, n)));
 
-  DistributedResult result{{graph::Graph(n), params, {}, 0, 0, 0}, {}, {}};
-  graph::Graph& spanner = result.base.spanner;
-  runtime::RoundLedger& ledger = result.ledger;
-
-  // Worker team for the same parallel phases as relaxed_greedy (binning,
-  // the covered-edge filter, query answering). The round/message accounting
-  // is analytic, so parallel execution changes wall-clock only — every
-  // result, including the charged ledger, is bit-identical across thread
-  // counts.
-  std::optional<runtime::WorkerPool> run_pool;
-  runtime::WorkerPool* pool = opts.worker_pool;
-  if (pool == nullptr) {
-    const int threads = runtime::resolve_threads(opts.threads);
-    if (threads > 1) pool = &run_pool.emplace(threads);
-  }
-  graph::DijkstraWorkspace run_ws;
-  graph::DijkstraWorkspace& ws = opts.workspace != nullptr ? *opts.workspace : run_ws;
-  graph::CsrView csr;
-  const graph::SoaPoints pts(inst.points);
-
-  const std::vector<graph::Edge> ge = inst.g.edges();
-  std::vector<graph::Edge> weighted;
-  std::vector<double> lens;
-  for (const graph::Edge& e : ge) {
-    weighted.push_back({e.u, e.v, transform(e.w)});
-    lens.push_back(e.w);
-  }
-  const BinSchema schema(params.alpha, params.r, n);
-  const auto bins = [&] {
-    const obs::Span span(detail::rg_metrics().bins_span);
-    return group_edges_by_bin(weighted, schema, lens, pool);
-  }();
-  result.base.total_bins = static_cast<int>(bins.size());
-
-  // ---- Phase 0 (§3.1): every node learns its closed neighborhood topology
-  // in 2 rounds (adjacency exchange), locally determines its G_0 component
-  // (a clique, Lemma 1), runs SEQ-GREEDY on it deterministically, and
-  // announces its incident spanner edges in 1 round. We compute the same
-  // spanner centrally and charge those 3 rounds.
-  {
-    const obs::Span span(detail::rg_metrics().phase0);
-    result.base.phases.push_back(detail::process_short_edges(
-        inst, pts, bins[0], transform, params, opts.phase0_clique_cap, spanner,
-        &result.base.phase0_components));
-    ledger.charge("phase0", 3, 3 * 2 * m_edges);
-  }
-
+  DistributedStats net;
+  runtime::RoundLedger ledger;
   std::uint64_t phase_seed = seed;
 
   // MIS transport: sync (mis::luby_mis, which reproduces the SyncNetwork's
@@ -98,7 +42,7 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
   // from the base seed and the invocation index), so a whole run replays
   // deterministically while invocations stay decorrelated.
   int async_invocation = 0;
-  AsyncNetSummary& async = result.net.async;
+  AsyncNetSummary& async = net.async;
   const auto run_mis = [&](const graph::Graph& j, mis::LubyStats* luby, const char* section) {
     if (net_opts.mode == NetMode::kSync) {
       return mis::luby_mis(j, ++phase_seed, luby);
@@ -136,117 +80,87 @@ DistributedResult distributed_relaxed_greedy(const ubg::UbgInstance& inst, const
     return out;
   };
 
-  for (int i = 1; i < static_cast<int>(bins.size()); ++i) {
-    const auto& bin = bins[static_cast<std::size_t>(i)];
-    if (bin.empty()) continue;
-    ++result.base.nonempty_bins;
+  // The §2 bin loop with the §3 cover (§3.2.1: gather + Luby MIS on J +
+  // attach) and the distributed §3.2.5 MIS. Each phase's Luby statistics
+  // are read, then cleared, by the per-phase hook below.
+  mis::LubyStats luby_cover;
+  mis::LubyStats luby_redundancy;
+  const auto cover = [&](const graph::CsrView& gp, double radius, graph::DijkstraWorkspace& ws) {
+    return cluster::mis_cover(gp, radius, ws, [&](const graph::Graph& j) {
+      return run_mis(j, &luby_cover, "cover-mis");
+    });
+  };
+  const auto redundancy_mis = [&](const graph::Graph& j) {
+    return run_mis(j, &luby_redundancy, "redundancy-mis");
+  };
 
-    PhaseStats st;
-    st.bin = i;
-    st.w_lo = schema.W(i - 1);
-    st.w_hi = schema.W(i);
-    st.edges_in_bin = static_cast<int>(bin.size());
-
+  // Round charges per finished phase. Each step is a constant-hop gather
+  // or exchange; the ledger sums per section, so charging a phase after its
+  // computation gives the same totals as charging step by step.
+  const auto charge_phase = [&](const PhaseStats& st, bool redundancy_ran) {
+    if (st.bin == 0) {
+      // Phase 0 (§3.1): every node learns its closed neighborhood topology
+      // in 2 rounds (adjacency exchange), locally determines its G_0
+      // component (a clique, Lemma 1), runs SEQ-GREEDY on it
+      // deterministically, and announces its incident spanner edges in 1
+      // round. The shared loop computes the same spanner centrally.
+      ledger.charge("phase0", 3, 3 * 2 * m_edges);
+      return;
+    }
+    const double w_eucl = st.w_lo;  // Euclidean-scale W_{i-1}
     PhaseRounds pr;
-    pr.bin = i;
+    pr.bin = st.bin;
 
-    const double w_eucl = schema.W(i - 1);  // Euclidean-scale W_{i-1}
-    const double w_prev = transform(w_eucl);
-    const double radius = params.delta * w_prev;
-
-    // ---- (i) cluster cover (§3.2.1): gather + Luby MIS on J + attach.
+    // (i) cluster cover (§3.2.1): learn the δW ball of G'_{i-1}, run the
+    // MIS on J (each J-round = k_ball G-rounds), attach to a center.
     const long long k_ball = hops_for(params.delta * w_eucl, params.alpha);
-    mis::LubyStats luby1;
-    const auto mis_fn = [&](const graph::Graph& j) { return run_mis(j, &luby1, "cover-mis"); };
-    // One CSR snapshot of G'_{i-1} serves the cover and the cluster graph.
-    csr.assign(spanner);
-    const cluster::ClusterCover cover = [&] {
-      const obs::Span span(detail::rg_metrics().cover_span);
-      return cluster::mis_cover(csr, radius, ws, mis_fn);
-    }();
-    st.clusters = static_cast<int>(cover.centers.size());
-
-    pr.cover = k_ball                       // learn the δW ball of G'_{i-1}
-               + luby1.network_rounds * k_ball  // each J-round = k_ball G-rounds
-               + 1;                             // attach to a center
-    pr.mis_rounds_measured += luby1.network_rounds * k_ball;
+    pr.cover = k_ball + luby_cover.network_rounds * k_ball + 1;
+    pr.mis_rounds_measured += luby_cover.network_rounds * k_ball;
     pr.mis_rounds_kmw_model += static_cast<long long>(lstar) * k_ball;
-    ledger.charge("cover", pr.cover,
-                  k_ball * 2 * m_edges + luby1.messages * k_ball + n);
-    result.net.mis_invocations += 1;
-    result.net.max_luby_iterations = std::max(result.net.max_luby_iterations, luby1.iterations);
+    ledger.charge("cover", pr.cover, k_ball * 2 * m_edges + luby_cover.messages * k_ball + n);
+    net.mis_invocations += 1;
+    net.max_luby_iterations = std::max(net.max_luby_iterations, luby_cover.iterations);
 
-    // ---- (ii) query edge selection (§3.2.2): heads gather 1 + 2δW/α hops.
-    const std::vector<PhaseEdge> candidates = [&] {
-      const obs::Span span(detail::rg_metrics().filter_span);
-      return detail::filter_candidates(bin, pts, inst.config.alpha, spanner, params.theta,
-                                       opts.covered_edge_filter, st, pool);
-    }();
-    const std::vector<PhaseEdge> queries = [&] {
-      const obs::Span span(detail::rg_metrics().select_span);
-      return detail::select_query_edges(candidates, cover, params.t,
-                                        &st.max_query_edges_per_cluster);
-    }();
-    st.queries = static_cast<int>(queries.size());
+    // (ii) query edge selection (§3.2.2): heads gather 1 + 2δW/α hops.
     pr.select = k_ball + 1;
     ledger.charge("select", pr.select, (k_ball + 1) * 2 * m_edges);
 
-    // ---- (iii) cluster graph (§3.2.3): gather 2(2δ+1)W/α hops.
-    const cluster::ClusterGraph cg = [&] {
-      const obs::Span span(detail::rg_metrics().cluster_graph_span);
-      return cluster::build_cluster_graph(csr, cover, w_prev, ws);
-    }();
-    st.max_inter_degree = cg.max_inter_degree;
-    st.max_inter_weight = cg.max_inter_weight;
+    // (iii) cluster graph (§3.2.3): gather 2(2δ+1)W/α hops.
     const long long k_h = hops_for((2.0 * params.delta + 1.0) * w_eucl, params.alpha);
     pr.cluster_graph = k_h;
     ledger.charge("clustergraph", k_h, k_h * 2 * m_edges);
 
-    // ---- (iv) query answering (§3.2.4): Theorem 9 constant-hop search.
-    const std::vector<PhaseEdge> to_add = [&] {
-      const obs::Span span(detail::rg_metrics().queries_span);
-      return detail::answer_queries(ws, cg.h, queries, params.t, &st.max_query_hops, pool);
-    }();
-    for (const PhaseEdge& e : to_add) spanner.add_edge(e.u, e.v, e.w);
-    st.added = static_cast<int>(to_add.size());
+    // (iv) query answering (§3.2.4): Theorem 9 constant-hop search.
     const long long k_q = hops_for(2.0 * params.delta + 1.0, params.alpha);
     pr.query = k_q;
     ledger.charge("query", k_q, k_q * 2 * m_edges);
 
-    // ---- (v) redundant edge removal (§3.2.5): constant-hop exchange +
-    // Luby MIS on the conflict graph (J-edges span ≤ 2 t1 r W/α G-hops).
-    if (opts.redundancy_removal && to_add.size() >= 2) {
-      const obs::Span span(detail::rg_metrics().redundancy_span);
-      mis::LubyStats luby2;
-      const auto mis_fn2 = [&](const graph::Graph& j) {
-        return run_mis(j, &luby2, "redundancy-mis");
-      };
-      const std::vector<int> removal =
-          detail::redundant_edge_removal(ws, cg.h, to_add, params.t1, mis_fn2);
-      for (int idx : removal) {
-        const PhaseEdge& e = to_add[static_cast<std::size_t>(idx)];
-        spanner.remove_edge(e.u, e.v);
-      }
-      st.removed = static_cast<int>(removal.size());
+    // (v) redundant edge removal (§3.2.5): constant-hop exchange + Luby MIS
+    // on the conflict graph (J-edges span ≤ 2 t1 r W/α G-hops).
+    if (redundancy_ran) {
       const long long k_red =
           hops_for(params.t1 * params.r * std::min(w_eucl, 1.0) * params.r, params.alpha);
-      pr.redundancy = k_red + luby2.network_rounds * k_red;
-      pr.mis_rounds_measured += luby2.network_rounds * k_red;
+      pr.redundancy = k_red + luby_redundancy.network_rounds * k_red;
+      pr.mis_rounds_measured += luby_redundancy.network_rounds * k_red;
       pr.mis_rounds_kmw_model += static_cast<long long>(lstar) * k_red;
       ledger.charge("redundancy", pr.redundancy,
-                    k_red * 2 * m_edges + luby2.messages * k_red);
-      result.net.mis_invocations += 1;
-      result.net.max_luby_iterations = std::max(result.net.max_luby_iterations, luby2.iterations);
+                    k_red * 2 * m_edges + luby_redundancy.messages * k_red);
+      net.mis_invocations += 1;
+      net.max_luby_iterations = std::max(net.max_luby_iterations, luby_redundancy.iterations);
     }
+    net.per_phase.push_back(pr);
+    luby_cover = {};
+    luby_redundancy = {};
+  };
 
-    // KMW model total for this phase: deterministic steps unchanged, MIS
-    // rounds replaced by the log*(n) model.
-    result.net.per_phase.push_back(pr);
-    result.base.phases.push_back(st);
-  }
+  DistributedResult result{detail::run_bin_loop(inst, params, opts, cover, redundancy_mis,
+                                                charge_phase),
+                           std::move(net), std::move(ledger)};
 
-  result.net.rounds_measured = ledger.rounds();
-  result.net.messages = ledger.messages();
+  result.net.rounds_measured = result.ledger.rounds();
+  result.net.messages = result.ledger.messages();
+  // KMW model total: deterministic steps unchanged, MIS rounds replaced by
+  // the log*(n) model.
   long long kmw = 0;
   for (const PhaseRounds& pr : result.net.per_phase) {
     kmw += pr.total_measured() - pr.mis_rounds_measured + pr.mis_rounds_kmw_model;

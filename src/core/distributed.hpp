@@ -1,12 +1,17 @@
 #pragma once
 /// \file distributed.hpp
-/// The distributed relaxed greedy algorithm (paper §3), executed on the
-/// synchronous message-passing simulator with full round/message accounting.
+/// The distributed relaxed greedy algorithm (paper §3). The driver runs the
+/// same §2 bin loop as core::relaxed_greedy (detail::run_bin_loop) and
+/// supplies only what §3 changes: the cluster cover comes from an MIS of the
+/// proximity graph (cluster::mis_cover), the §2.2.5 redundancy MIS runs on
+/// the chosen transport (the synchronous simulator's analytic Luby, or the
+/// adversarial async runtime behind reliable delivery), and every step is
+/// charged its constant number of rounds to the ledger.
 ///
-/// Per phase (Theorems 16-21):
+/// Rounds charged per phase (Theorems 16-21):
 ///   cover      — ball gather (⌈2δW/α⌉ hops) + MIS on the proximity graph J
-///                (Luby on the simulator; J-edges span ≤ ⌈2δW/α⌉ G-hops so
-///                each J-round costs that many G-rounds) + 1 attach round;
+///                (Luby; J-edges span ≤ ⌈2δW/α⌉ G-hops so each J-round
+///                costs that many G-rounds) + 1 attach round;
 ///   select     — cluster heads gather 1+⌈2δW/α⌉ hops            (O(1));
 ///   clustergraph — gather ⌈2(2δ+1)W/α⌉ hops                     (O(1));
 ///   query      — brute-force search ⌈2(2δ+1)/α⌉ hops (Theorem 9, O(1));

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <unordered_map>
 
@@ -16,28 +17,6 @@
 namespace localspan::core {
 
 namespace detail {
-
-bool is_covered_edge(const ubg::UbgInstance& inst, const graph::Graph& gp, const PhaseEdge& e,
-                     double theta) {
-  const double alpha = inst.config.alpha;
-  const auto test_side = [&](int u, int v) {
-    // Looking for z with {u,z} in G'_{i-1}, |vz| <= alpha, angle vuz <= theta.
-    const geom::Point& pu = inst.points[static_cast<std::size_t>(u)];
-    const geom::Point& pv = inst.points[static_cast<std::size_t>(v)];
-    for (const graph::Neighbor& nb : gp.neighbors(u)) {
-      const int z = nb.to;
-      if (z == v) continue;
-      const geom::Point& pz = inst.points[static_cast<std::size_t>(z)];
-      if (geom::distance(pv, pz) > alpha) continue;
-      const double duz = geom::distance(pu, pz);
-      if (duz == 0.0) continue;                          // degenerate ray
-      if (duz > geom::distance(pu, pv)) continue;        // Lemma 3 needs |uz| <= |uv|
-      if (geom::angle_at(pu, pv, pz) <= theta) return true;
-    }
-    return false;
-  };
-  return test_side(e.u, e.v) || test_side(e.v, e.u);
-}
 
 bool is_covered_edge(const graph::SoaPoints& pts, double alpha, const graph::Graph& gp,
                      const PhaseEdge& e, double theta) {
@@ -96,12 +75,6 @@ std::vector<PhaseEdge> select_query_edges(const std::vector<PhaseEdge>& candidat
   return selected;
 }
 
-std::vector<PhaseEdge> answer_queries(const graph::Graph& h, const std::vector<PhaseEdge>& queries,
-                                      double t, int* max_hops) {
-  graph::DijkstraWorkspace ws(h.n());
-  return answer_queries(ws, h, queries, t, max_hops);
-}
-
 std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws, const graph::Graph& h,
                                       const std::vector<PhaseEdge>& queries, double t,
                                       int* max_hops, runtime::WorkerPool* pool) {
@@ -143,12 +116,6 @@ std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws, const graph:
   }
   if (max_hops != nullptr) *max_hops = worst_hops;
   return to_add;
-}
-
-graph::Graph redundancy_conflict_graph(const graph::Graph& h, const std::vector<PhaseEdge>& added,
-                                       double t1) {
-  graph::DijkstraWorkspace ws(h.n());
-  return redundancy_conflict_graph(ws, h, added, t1);
 }
 
 graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph::Graph& h,
@@ -239,13 +206,6 @@ graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws, const graph
 }
 
 std::vector<int> redundant_edge_removal(
-    const graph::Graph& h, const std::vector<PhaseEdge>& added, double t1,
-    const std::function<std::vector<int>(const graph::Graph&)>& mis) {
-  graph::DijkstraWorkspace ws(h.n());
-  return redundant_edge_removal(ws, h, added, t1, mis);
-}
-
-std::vector<int> redundant_edge_removal(
     graph::DijkstraWorkspace& ws, const graph::Graph& h, const std::vector<PhaseEdge>& added,
     double t1, const std::function<std::vector<int>(const graph::Graph&)>& mis) {
   const graph::Graph j = redundancy_conflict_graph(ws, h, added, t1);
@@ -263,16 +223,47 @@ std::vector<int> redundant_edge_removal(
   return remove;
 }
 
+}  // namespace detail
+
+namespace {
+
+using detail::PhaseEdge;
+
+/// obs ids of the relaxed-greedy counters and phase spans. The span names
+/// are the declared phase schema of the relaxed family in
+/// api/builtin_algorithms.cpp. The counters mirror the serial-order
+/// PhaseStats fields, so they read the same at every thread count.
+struct RgMetrics {
+  obs::MetricId edges_examined = obs::counter_id("rg.edges_examined");
+  obs::MetricId edges_already = obs::counter_id("rg.edges_already_in_spanner");
+  obs::MetricId edges_covered = obs::counter_id("rg.edges_covered");
+  obs::MetricId edges_candidate = obs::counter_id("rg.edges_candidate");
+  obs::MetricId queries = obs::counter_id("rg.queries");
+  obs::MetricId edges_added = obs::counter_id("rg.edges_added");
+  obs::MetricId edges_removed = obs::counter_id("rg.edges_removed");
+  obs::MetricId heap_pushes = obs::counter_id("rg.heap_pushes");
+  obs::MetricId heap_pops = obs::counter_id("rg.heap_pops");
+  obs::MetricId phase0 = obs::span_id("rg.phase0");
+  obs::MetricId bins_span = obs::span_id("rg.bins");
+  obs::MetricId cover_span = obs::span_id("rg.cover");
+  obs::MetricId filter_span = obs::span_id("rg.filter");
+  obs::MetricId select_span = obs::span_id("rg.select");
+  obs::MetricId cluster_graph_span = obs::span_id("rg.cluster_graph");
+  obs::MetricId queries_span = obs::span_id("rg.queries");
+  obs::MetricId redundancy_span = obs::span_id("rg.redundancy");
+};
+
 const RgMetrics& rg_metrics() {
   static const RgMetrics m;
   return m;
 }
 
-std::function<double(double)> weight_transform(const RelaxedGreedyOptions& opts) {
-  if (opts.weight_transform) return opts.weight_transform;
-  return [](double len) { return len; };
-}
-
+/// Phase 0 (§2.1, §3.1): components of G_0 (the edges of `bin0`) are
+/// cliques (Lemma 1); span each with SEQ-GREEDY under `transform` weights
+/// and add the chosen edges to `spanner`, in component order. Components
+/// above `clique_cap` nodes are spanned over their UBG edges instead (see
+/// RelaxedGreedyOptions::phase0_clique_cap). Returns the phase-0 row;
+/// `component_count` receives the number of components with >= 2 nodes.
 PhaseStats process_short_edges(const ubg::UbgInstance& inst, const graph::SoaPoints& pts,
                                const std::vector<graph::Edge>& bin0,
                                const std::function<double(double)>& transform, const Params& params,
@@ -317,6 +308,11 @@ PhaseStats process_short_edges(const ubg::UbgInstance& inst, const graph::SoaPoi
   return st;
 }
 
+/// §2.2.2 part 1 over one bin: drop edges already in gp and, when
+/// `covered_filter` is set, θ-cone covered edges, and return the rest as
+/// candidates in bin order. Fills st.already_in_spanner, st.covered and
+/// st.candidates. Each edge's test is a pure function of (pts, gp, edge), so
+/// with a pool the tests run in parallel; the result is the same.
 std::vector<PhaseEdge> filter_candidates(const std::vector<graph::Edge>& bin,
                                          const graph::SoaPoints& pts, double alpha,
                                          const graph::Graph& gp, double theta,
@@ -333,7 +329,7 @@ std::vector<PhaseEdge> filter_candidates(const std::vector<graph::Edge>& bin,
     }
     const double len = pts.distance(e.u, e.v);
     lens[static_cast<std::size_t>(k)] = len;
-    if (covered_filter && is_covered_edge(pts, alpha, gp, {e.u, e.v, len, e.w}, theta)) {
+    if (covered_filter && detail::is_covered_edge(pts, alpha, gp, {e.u, e.v, len, e.w}, theta)) {
       status[static_cast<std::size_t>(k)] = kCovered;
     }
   };
@@ -357,17 +353,19 @@ std::vector<PhaseEdge> filter_candidates(const std::vector<graph::Edge>& bin,
   return out;
 }
 
-}  // namespace detail
-
-namespace {
-
-using detail::PhaseEdge;
-using detail::rg_metrics;
-
-/// Drain the plain heap tallies of the run workspace (and each per-worker
-/// workspace) into the rg.heap_* counters at a phase boundary.
-void flush_heap_ops(graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
+/// The one emission of a finished row into the rg.* funnel counters, and
+/// the drain of the heap tallies of the run workspace (and each per-worker
+/// workspace) into rg.heap_* at that phase boundary.
+void record_phase(const PhaseStats& st, graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
   if (!obs::enabled()) return;
+  const RgMetrics& m = rg_metrics();
+  obs::counter_add(m.edges_examined, st.edges_in_bin);
+  obs::counter_add(m.edges_already, st.already_in_spanner);
+  obs::counter_add(m.edges_covered, st.covered);
+  obs::counter_add(m.edges_candidate, st.candidates);
+  obs::counter_add(m.queries, st.queries);
+  obs::counter_add(m.edges_added, st.added);
+  obs::counter_add(m.edges_removed, st.removed);
   auto [pushes, pops] = ws.take_heap_ops();
   if (pool != nullptr) {
     for (int w = 0; w < pool->threads(); ++w) {
@@ -376,20 +374,24 @@ void flush_heap_ops(graph::DijkstraWorkspace& ws, runtime::WorkerPool* pool) {
       pops += b;
     }
   }
-  obs::counter_add(rg_metrics().heap_pushes, pushes);
-  obs::counter_add(rg_metrics().heap_pops, pops);
+  obs::counter_add(m.heap_pushes, pushes);
+  obs::counter_add(m.heap_pops, pops);
 }
 
 }  // namespace
 
-RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& params,
-                                   const RelaxedGreedyOptions& opts) {
+namespace detail {
+
+RelaxedGreedyResult run_bin_loop(const ubg::UbgInstance& inst, const Params& params,
+                                 const RelaxedGreedyOptions& opts, const CoverStep& cover_step,
+                                 const MisStep& redundancy_mis, const PhaseHook& on_phase) {
   params.validate();
   if (std::abs(params.alpha - inst.config.alpha) > 1e-12) {
     throw std::invalid_argument("relaxed_greedy: params.alpha != instance alpha");
   }
   const int n = inst.g.n();
-  const auto transform = detail::weight_transform(opts);
+  const std::function<double(double)> transform =
+      opts.weight_transform ? opts.weight_transform : [](double len) { return len; };
 
   // Shortest-path scratch for the whole run: one workspace (caller-owned
   // when opts.workspace is set, so repeated runs reuse the same buffers) and
@@ -432,22 +434,19 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
 
   RelaxedGreedyResult result{graph::Graph(n), params, {}, 0, 0,
                              static_cast<int>(bins.size())};
+  const auto finish_row = [&](const PhaseStats& st, bool redundancy_ran) {
+    record_phase(st, ws, pool);
+    result.phases.push_back(st);
+    if (on_phase) on_phase(st, redundancy_ran);
+  };
 
   // Phase 0.
   {
     const obs::Span span(rg_metrics().phase0);
-    result.phases.push_back(detail::process_short_edges(inst, pts, bins[0], transform, params,
-                                                        opts.phase0_clique_cap, result.spanner,
-                                                        &result.phase0_components));
-    obs::counter_add(rg_metrics().edges_examined, result.phases.back().edges_in_bin);
-    obs::counter_add(rg_metrics().edges_added, result.phases.back().added);
+    finish_row(process_short_edges(inst, pts, bins[0], transform, params, opts.phase0_clique_cap,
+                                   result.spanner, &result.phase0_components),
+               false);
   }
-
-  // §2.2.5 symmetry breaking: Luby's MIS with a fixed seed. The sequential
-  // algorithm is a deterministic function of the instance, and any MIS of
-  // the conflict graph preserves the §2.2.5 guarantees.
-  constexpr std::uint64_t kMisSeed = 0x10CA15FA2006ULL;
-  const auto mis_fn = [](const graph::Graph& j) { return mis::luby_mis(j, kMisSeed); };
 
   // Phases i >= 1, skipping empty bins (recomputation is from G' alone, so
   // skipping is a pure optimization).
@@ -469,21 +468,20 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
     csr.assign(result.spanner);
     const cluster::ClusterCover cover = [&] {
       const obs::Span span(rg_metrics().cover_span);
-      return cluster::sequential_cover(csr, radius, ws);
+      return cover_step(csr, radius, ws);
     }();
     st.clusters = static_cast<int>(cover.centers.size());
 
     // (ii) covered-edge filter + candidate selection.
     const std::vector<PhaseEdge> candidates = [&] {
       const obs::Span span(rg_metrics().filter_span);
-      return detail::filter_candidates(bin, pts, inst.config.alpha, result.spanner, params.theta,
-                                       opts.covered_edge_filter, st, pool);
+      return filter_candidates(bin, pts, inst.config.alpha, result.spanner, params.theta,
+                               opts.covered_edge_filter, st, pool);
     }();
 
     const std::vector<PhaseEdge> queries = [&] {
       const obs::Span span(rg_metrics().select_span);
-      return detail::select_query_edges(candidates, cover, params.t,
-                                        &st.max_query_edges_per_cluster);
+      return select_query_edges(candidates, cover, params.t, &st.max_query_edges_per_cluster);
     }();
     st.queries = static_cast<int>(queries.size());
 
@@ -498,16 +496,17 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
     // (iv) shortest-path queries on H (lazy update: all answered before adds).
     const std::vector<PhaseEdge> to_add = [&] {
       const obs::Span span(rg_metrics().queries_span);
-      return detail::answer_queries(ws, cg.h, queries, params.t, &st.max_query_hops, pool);
+      return answer_queries(ws, cg.h, queries, params.t, &st.max_query_hops, pool);
     }();
     for (const PhaseEdge& e : to_add) result.spanner.add_edge(e.u, e.v, e.w);
     st.added = static_cast<int>(to_add.size());
 
     // (v) redundant edge removal.
-    if (opts.redundancy_removal && to_add.size() >= 2) {
+    const bool redundancy_ran = opts.redundancy_removal && to_add.size() >= 2;
+    if (redundancy_ran) {
       const obs::Span span(rg_metrics().redundancy_span);
       const std::vector<int> removal =
-          detail::redundant_edge_removal(ws, cg.h, to_add, params.t1, mis_fn);
+          redundant_edge_removal(ws, cg.h, to_add, params.t1, redundancy_mis);
       for (int idx : removal) {
         const PhaseEdge& e = to_add[static_cast<std::size_t>(idx)];
         result.spanner.remove_edge(e.u, e.v);
@@ -515,21 +514,25 @@ RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& p
       st.removed = static_cast<int>(removal.size());
     }
 
-    if (obs::enabled()) {
-      const detail::RgMetrics& m = rg_metrics();
-      obs::counter_add(m.edges_examined, st.edges_in_bin);
-      obs::counter_add(m.edges_already, st.already_in_spanner);
-      obs::counter_add(m.edges_covered, st.covered);
-      obs::counter_add(m.edges_candidate, st.candidates);
-      obs::counter_add(m.queries, st.queries);
-      obs::counter_add(m.edges_added, st.added);
-      obs::counter_add(m.edges_removed, st.removed);
-      flush_heap_ops(ws, pool);
-    }
-
-    result.phases.push_back(st);
+    finish_row(st, redundancy_ran);
   }
   return result;
+}
+
+}  // namespace detail
+
+RelaxedGreedyResult relaxed_greedy(const ubg::UbgInstance& inst, const Params& params,
+                                   const RelaxedGreedyOptions& opts) {
+  // §2.2.5 symmetry breaking: Luby's MIS with a fixed seed. The sequential
+  // algorithm is a deterministic function of the instance, and any MIS of
+  // the conflict graph preserves the §2.2.5 guarantees.
+  constexpr std::uint64_t kMisSeed = 0x10CA15FA2006ULL;
+  return detail::run_bin_loop(
+      inst, params, opts,
+      [](const graph::CsrView& gp, double radius, graph::DijkstraWorkspace& ws) {
+        return cluster::sequential_cover(gp, radius, ws);
+      },
+      [](const graph::Graph& j) { return mis::luby_mis(j, kMisSeed); });
 }
 
 }  // namespace localspan::core

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "cluster/cluster_graph.hpp"
@@ -24,7 +23,6 @@
 #include "core/params.hpp"
 #include "graph/graph.hpp"
 #include "graph/soa_points.hpp"
-#include "obs/obs.hpp"
 #include "ubg/generator.hpp"
 
 namespace localspan::runtime {
@@ -122,8 +120,8 @@ struct RelaxedGreedyResult {
 
 namespace detail {
 
-/// Shared per-phase machinery, exposed so the distributed driver (§3) and
-/// white-box tests can exercise each §2.2 step in isolation.
+/// The §2.2 phase steps, exposed so white-box tests can exercise each one in
+/// isolation, and the shared bin loop both drivers run.
 
 /// A bin edge annotated with its active weight.
 struct PhaseEdge {
@@ -134,70 +132,10 @@ struct PhaseEdge {
 
 /// §2.2.2 part 1: the θ-cone covered test for one edge (Lemma 3 / Fig 1).
 /// True iff some z with {u,z} in gp, |vz| <= α and ∠vuz <= θ exists (or the
-/// symmetric condition at v).
-[[nodiscard]] bool is_covered_edge(const ubg::UbgInstance& inst, const graph::Graph& gp,
-                                   const PhaseEdge& e, double theta);
-
-/// SoA overload of the θ-cone test for the hot filter loops: identical
-/// decisions (the SoaPoints kernels are bit-identical to geom::*), but the
-/// geometry streams from the flat coordinate lanes instead of one 72-byte
-/// Point per probe. `alpha` is the instance's UBG radius.
+/// symmetric condition at v). `alpha` is the instance's UBG radius; the
+/// geometry streams from the flat SoA coordinate lanes.
 [[nodiscard]] bool is_covered_edge(const graph::SoaPoints& pts, double alpha,
                                    const graph::Graph& gp, const PhaseEdge& e, double theta);
-
-/// obs ids of the relaxed-greedy counters and phase spans, shared by both
-/// drivers. The span names are the declared phase schema of the relaxed
-/// family in api/builtin_algorithms.cpp. The counters mirror the
-/// serial-order PhaseStats fields, so they read the same at every thread
-/// count.
-struct RgMetrics {
-  obs::MetricId edges_examined = obs::counter_id("rg.edges_examined");
-  obs::MetricId edges_already = obs::counter_id("rg.edges_already_in_spanner");
-  obs::MetricId edges_covered = obs::counter_id("rg.edges_covered");
-  obs::MetricId edges_candidate = obs::counter_id("rg.edges_candidate");
-  obs::MetricId queries = obs::counter_id("rg.queries");
-  obs::MetricId edges_added = obs::counter_id("rg.edges_added");
-  obs::MetricId edges_removed = obs::counter_id("rg.edges_removed");
-  obs::MetricId heap_pushes = obs::counter_id("rg.heap_pushes");
-  obs::MetricId heap_pops = obs::counter_id("rg.heap_pops");
-  obs::MetricId phase0 = obs::span_id("rg.phase0");
-  obs::MetricId bins_span = obs::span_id("rg.bins");
-  obs::MetricId cover_span = obs::span_id("rg.cover");
-  obs::MetricId filter_span = obs::span_id("rg.filter");
-  obs::MetricId select_span = obs::span_id("rg.select");
-  obs::MetricId cluster_graph_span = obs::span_id("rg.cluster_graph");
-  obs::MetricId queries_span = obs::span_id("rg.queries");
-  obs::MetricId redundancy_span = obs::span_id("rg.redundancy");
-};
-
-[[nodiscard]] const RgMetrics& rg_metrics();
-
-/// Identity unless `opts.weight_transform` is set.
-[[nodiscard]] std::function<double(double)> weight_transform(const RelaxedGreedyOptions& opts);
-
-/// Phase 0 (§2.1, §3.1): components of G_0 (the edges of `bin0`) are
-/// cliques (Lemma 1); span each with SEQ-GREEDY under `transform` weights
-/// and add the chosen edges to `spanner`, in component order. Components
-/// above `clique_cap` nodes are spanned over their UBG edges instead (see
-/// RelaxedGreedyOptions::phase0_clique_cap). Returns the phase-0 row;
-/// `component_count` receives the number of components with >= 2 nodes.
-[[nodiscard]] PhaseStats process_short_edges(const ubg::UbgInstance& inst,
-                                             const graph::SoaPoints& pts,
-                                             const std::vector<graph::Edge>& bin0,
-                                             const std::function<double(double)>& transform,
-                                             const Params& params, int clique_cap,
-                                             graph::Graph& spanner, int* component_count);
-
-/// §2.2.2 part 1 over one bin: drop edges already in gp and, when
-/// `covered_filter` is set, θ-cone covered edges, and return the rest as
-/// candidates in bin order. Fills st.already_in_spanner, st.covered and
-/// st.candidates. Each edge's test is a pure function of (pts, gp, edge), so
-/// with a pool the tests run in parallel; the result is the same.
-[[nodiscard]] std::vector<PhaseEdge> filter_candidates(const std::vector<graph::Edge>& bin,
-                                                       const graph::SoaPoints& pts, double alpha,
-                                                       const graph::Graph& gp, double theta,
-                                                       bool covered_filter, PhaseStats& st,
-                                                       runtime::WorkerPool* pool = nullptr);
 
 /// §2.2.2 part 2: keep one query edge per cluster pair, minimizing
 /// t·w(x,y) − sp(a,x) − sp(b,y), ties broken by the smaller (u, v). Returns
@@ -207,15 +145,10 @@ struct RgMetrics {
                                                         const cluster::ClusterCover& cover,
                                                         double t, int* per_cluster_max);
 
-/// §2.2.4: answer all queries on H; returns the edges to add (those with
-/// sp_H(x,y) > t·w(x,y)). Updates `max_hops` with the Lemma 8 quantity.
-[[nodiscard]] std::vector<PhaseEdge> answer_queries(const graph::Graph& h,
-                                                    const std::vector<PhaseEdge>& queries,
-                                                    double t, int* max_hops);
-
-/// Workspace-backed overload: one early-exit bounded search per query, no
-/// per-query allocation once the workspace is warm. With a pool the
-/// per-query searches run in parallel (results committed in query order —
+/// §2.2.4: answer all queries on H, one early-exit bounded search per query
+/// on `ws`; returns the edges to add (those with sp_H(x,y) > t·w(x,y)).
+/// Updates `max_hops` with the Lemma 8 quantity. With a pool the per-query
+/// searches run in parallel (results committed in query order —
 /// bit-identical to serial).
 [[nodiscard]] std::vector<PhaseEdge> answer_queries(graph::DijkstraWorkspace& ws,
                                                     const graph::Graph& h,
@@ -227,25 +160,38 @@ struct RgMetrics {
 /// graph J (one node per edge participating in >= 1 pair), run `mis` on it
 /// and return the indices (into `added`) of edges to REMOVE (non-MIS nodes).
 [[nodiscard]] std::vector<int> redundant_edge_removal(
-    const graph::Graph& h, const std::vector<PhaseEdge>& added, double t1,
-    const std::function<std::vector<int>(const graph::Graph&)>& mis);
-
-[[nodiscard]] std::vector<int> redundant_edge_removal(
     graph::DijkstraWorkspace& ws, const graph::Graph& h, const std::vector<PhaseEdge>& added,
     double t1, const std::function<std::vector<int>(const graph::Graph&)>& mis);
 
 /// The conflict graph J of §2.2.5 alone (for Lemma 20 doubling-dimension
 /// experiments): node k = added[k]; edges connect mutually redundant pairs.
-[[nodiscard]] graph::Graph redundancy_conflict_graph(const graph::Graph& h,
-                                                     const std::vector<PhaseEdge>& added,
-                                                     double t1);
-
-/// Workspace-backed overload: one bounded search per distinct endpoint, kept
-/// sparse, then a pair sweep over the endpoints each ball reached.
+/// One bounded search per distinct endpoint, kept sparse, then a pair sweep
+/// over the endpoints each ball reached.
 [[nodiscard]] graph::Graph redundancy_conflict_graph(graph::DijkstraWorkspace& ws,
                                                      const graph::Graph& h,
                                                      const std::vector<PhaseEdge>& added,
                                                      double t1);
+
+/// Cluster cover of the frozen G'_{i-1} at `radius` (§2.2.1 or §3.2.1).
+using CoverStep = std::function<cluster::ClusterCover(const graph::CsrView& gp, double radius,
+                                                      graph::DijkstraWorkspace& ws)>;
+/// An MIS of the §2.2.5 conflict graph J.
+using MisStep = std::function<std::vector<int>(const graph::Graph& j)>;
+/// Sees each finished PhaseStats row (phase 0 first, then the nonempty bins
+/// ascending) and whether the §2.2.5 redundancy pass ran for it.
+using PhaseHook = std::function<void(const PhaseStats& row, bool redundancy_ran)>;
+
+/// The bin loop of §2 that both drivers run: parameter checks, phase 0, then
+/// per nonempty bin cover → filter → select → cluster graph → queries →
+/// redundancy, with the rg.* phase spans and one emission of the rg.*
+/// funnel counters per PhaseStats row. A driver supplies only the cover, the
+/// redundancy MIS and an optional per-row hook; for each bin the cover runs
+/// (and consumes its MIS draws) before the redundancy MIS.
+[[nodiscard]] RelaxedGreedyResult run_bin_loop(const ubg::UbgInstance& inst,
+                                               const Params& params,
+                                               const RelaxedGreedyOptions& opts,
+                                               const CoverStep& cover, const MisStep& redundancy_mis,
+                                               const PhaseHook& on_phase = {});
 
 }  // namespace detail
 

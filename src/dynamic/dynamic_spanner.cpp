@@ -472,6 +472,22 @@ bool DynamicSpanner::certify(const std::vector<int>& modified, int* scope_size_o
   return all_ok;
 }
 
+template <class Stats>
+void DynamicSpanner::certify_or_rebuild(const std::vector<int>& modified, Stats& st) {
+  if (opts_.check == CheckLevel::kOff) return;
+  st.check_ran = true;
+  bool ok = opts_.check == CheckLevel::kFull ? certify({}, &st.certify_scope)
+                                             : certify(modified, &st.certify_scope);
+  if (ok && opts_.check == CheckLevel::kFull) {
+    ok = graph::lightness(inst_.g, spanner_) <= opts_.caps.lightness;
+  }
+  st.check_passed = ok;
+  if (!ok && opts_.allow_fallback) {
+    full_recompute();
+    st.fell_back = true;
+  }
+}
+
 RepairStats DynamicSpanner::apply(const ChurnEvent& ev) {
   const CommitNotifier notify(*this);
   const obs::Span span(dyn_metrics().apply_span);
@@ -488,20 +504,7 @@ RepairStats DynamicSpanner::apply(const ChurnEvent& ev) {
     std::vector<int> touched = modified;  // D: seeds of the dirty ball
     repair(touched, &st, &modified);
     sort_unique(modified);
-
-    if (opts_.check != CheckLevel::kOff) {
-      st.check_ran = true;
-      bool ok = opts_.check == CheckLevel::kFull ? certify({}, &st.certify_scope)
-                                                 : certify(modified, &st.certify_scope);
-      if (ok && opts_.check == CheckLevel::kFull) {
-        ok = graph::lightness(inst_.g, spanner_) <= opts_.caps.lightness;
-      }
-      st.check_passed = ok;
-      if (!ok && opts_.allow_fallback) {
-        full_recompute();
-        st.fell_back = true;
-      }
-    }
+    certify_or_rebuild(modified, st);
   }
 
   st.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
@@ -838,19 +841,7 @@ BatchStats DynamicSpanner::apply_batch(std::span<const ChurnEvent> events) {
 
     // Phase 6: one merged-scope certification replaces the per-event
     // passes; on failure the engine falls back exactly like apply().
-    if (!batch_modified_.empty() && opts_.check != CheckLevel::kOff) {
-      st.check_ran = true;
-      bool ok = opts_.check == CheckLevel::kFull ? certify({}, &st.certify_scope)
-                                                 : certify(batch_modified_, &st.certify_scope);
-      if (ok && opts_.check == CheckLevel::kFull) {
-        ok = graph::lightness(inst_.g, spanner_) <= opts_.caps.lightness;
-      }
-      st.check_passed = ok;
-      if (!ok && opts_.allow_fallback) {
-        full_recompute();
-        st.fell_back = true;
-      }
-    }
+    if (!batch_modified_.empty()) certify_or_rebuild(batch_modified_, st);
   } catch (...) {
     // A mid-window failure (an event invalid for the evolved topology,
     // above all) leaves already-ingested mutations with their repairs

@@ -293,6 +293,13 @@ class DynamicSpanner {
 
   void repair(const std::vector<int>& touched, RepairStats* st, std::vector<int>* modified);
 
+  /// The check that closes apply() and apply_batch(), unless CheckLevel::kOff:
+  /// certify `modified` (everything, plus the lightness cap, under kFull),
+  /// record the outcome in `st` and, on failure with allow_fallback, rebuild
+  /// with full_recompute(). `Stats` is RepairStats or BatchStats.
+  template <class Stats>
+  void certify_or_rebuild(const std::vector<int>& modified, Stats& st);
+
   /// The engaged worker team: the engine-owned pool when there is one, else
   /// a caller-supplied pool threaded through the greedy options.
   [[nodiscard]] runtime::WorkerPool* team() const noexcept {

@@ -5,11 +5,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/spanner_algorithm.hpp"
 #include "core/params.hpp"
+#include "core/relaxed_greedy.hpp"
 #include "obs/obs.hpp"
 #include "scenario_matrix.hpp"
 
@@ -226,6 +229,46 @@ TEST(Registry, ObsPhaseBreakdownMatchesDeclaredSchema) {
                                      [&](const api::PhaseCost& pc) { return pc.name == phase; });
       EXPECT_TRUE(fired) << name << ": declared phase '" << phase << "' never fired";
     }
+  }
+}
+
+// Both relaxed drivers run one bin loop, which emits the rg.* funnel
+// counters from each PhaseStats row: around one build, every counter moves
+// by exactly the sum of its field over BuildResult::phases (phase 0
+// included).
+TEST(Registry, ObsFunnelCountersMatchPhaseStats) {
+  const ObsEnabledScope obs_scope;
+  const UbgInstance inst = testinfra::Scenario{}.make();
+  const core::Params params = practical(inst.config.alpha);
+  const auto counter = [](const char* metric) {
+    for (const auto& [name, value] : obs::snapshot().counters) {
+      if (name == metric) return value;
+    }
+    return std::int64_t{0};
+  };
+  using Field = int core::PhaseStats::*;
+  const std::vector<std::pair<const char*, Field>> funnel{
+      {"rg.edges_examined", &core::PhaseStats::edges_in_bin},
+      {"rg.edges_already_in_spanner", &core::PhaseStats::already_in_spanner},
+      {"rg.edges_covered", &core::PhaseStats::covered},
+      {"rg.edges_candidate", &core::PhaseStats::candidates},
+      {"rg.queries", &core::PhaseStats::queries},
+      {"rg.edges_added", &core::PhaseStats::added},
+      {"rg.edges_removed", &core::PhaseStats::removed}};
+
+  for (const char* algo : {"relaxed", "relaxed-dist"}) {
+    std::vector<std::int64_t> before;
+    for (const auto& [metric, field] : funnel) before.push_back(counter(metric));
+    const api::BuildResult res =
+        api::registry().build(algo, api::BuildRequest{inst, params, {}}, /*measure=*/false);
+    ASSERT_GT(res.phases.size(), 1u) << algo;
+    for (std::size_t k = 0; k < funnel.size(); ++k) {
+      const auto& [metric, field] = funnel[k];
+      std::int64_t expected = 0;
+      for (const core::PhaseStats& st : res.phases) expected += st.*field;
+      EXPECT_EQ(counter(metric) - before[k], expected) << algo << " " << metric;
+    }
+    EXPECT_GT(counter("rg.edges_examined") - before[0], 0) << algo;
   }
 }
 

@@ -118,8 +118,8 @@ class Args {
 };
 
 /// Flags shared by every command that builds a topology via the registry.
-const std::set<std::string> kBuildFlags{"in",   "eps", "strict",  "distributed", "seed",
-                                        "algo", "opt", "threads", "obs-json",    "trace"};
+const std::set<std::string> kBuildFlags{"in",  "eps",     "strict",   "seed", "algo",
+                                        "opt", "threads", "obs-json", "trace"};
 
 /// `--obs-json`/`--trace` imply observability for the run; call before any
 /// instrumented work so every probe records.
@@ -159,7 +159,7 @@ int usage() {
                "  gen     --n N --alpha A --dim D --seed S [--placement uniform|clustered|corridor]\n"
                "          [--policy always|never|prob|threshold] [--p P] --out FILE\n"
                "  span    --in FILE --eps E [--algo NAME|list] [--opt k=v ...] [--strict]\n"
-               "          [--distributed] [--seed S] [--threads N] [--out-dot FILE] [--out-csv FILE]\n"
+               "          [--seed S] [--threads N] [--out-dot FILE] [--out-csv FILE]\n"
                "          [--net sync|async] [--loss P] [--net-json FILE]\n"
                "          (--net async runs distributed algorithms on the adversarial event-queue\n"
                "          transport; fault knobs via --loss or --opt dup=/reorder=/straggle=/\n"
@@ -220,7 +220,7 @@ void print_algorithm_list() {
   }
 }
 
-/// Resolve --algo/--strict/--distributed/--opt into one registry build.
+/// Resolve --algo/--strict/--opt into one registry build.
 /// `command_uses_seed` is set by commands that consume --seed themselves
 /// (route seeds its trials), so the flag is only a no-op — and rejected —
 /// when neither the command nor the algorithm reads it; `command_uses_threads`
@@ -231,13 +231,7 @@ void print_algorithm_list() {
 api::BuildResult build_topology(const ubg::UbgInstance& inst, const Args& args,
                                 bool command_uses_seed = false, bool measure = true,
                                 bool command_uses_threads = false) {
-  std::string algo = args.get("algo", "relaxed");
-  if (args.has("distributed")) {
-    if (args.has("algo") && algo != "relaxed-dist") {
-      throw std::invalid_argument("--distributed conflicts with --algo " + algo);
-    }
-    algo = "relaxed-dist";
-  }
+  const std::string algo = args.get("algo", "relaxed");
   const api::Capabilities& caps = api::registry().at(algo).info().caps;
   if (args.has("strict") && !caps.uses_params) {
     throw std::invalid_argument("--strict has no effect: algorithm '" + algo +
